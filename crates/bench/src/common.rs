@@ -87,6 +87,31 @@ pub fn publish(
     (db, failures)
 }
 
+/// The host's core count, as the scans and thread splits see it.
+#[must_use]
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// The JSON fields every BENCH file opens with: the host core count and
+/// the source revision measured (`git describe --always --dirty`, or
+/// `"none"` outside a git checkout), so a committed number can be traced
+/// to the code and the machine that produced it.
+#[must_use]
+pub fn bench_header(experiment: &str) -> String {
+    let rev = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "none".to_string(), |rev| rev.trim().to_string());
+    format!(
+        "\"experiment\": \"{experiment}\",\n  \"host_cores\": {},\n  \"git_rev\": \"{rev}\"",
+        host_cores()
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

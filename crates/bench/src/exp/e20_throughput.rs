@@ -1,17 +1,25 @@
-//! E20 — analyst read-path throughput: scalar vs batched Algorithm 2.
+//! E20 — analyst read-path throughput: scalar vs batched Algorithm 2,
+//! and the grouped multi-value scan against per-term scans.
 //!
 //! The paper's mechanism is built for population scale, so the analyst
 //! pipeline must sustain shard scans over millions of sketches. This
 //! experiment measures queries/second of the pre-refactor scalar path
 //! (one input encoding and allocation per record) against the columnar
-//! batched pipeline (snapshot + template splicing + batch PRF), plus the
-//! one-pass distribution scan against 2^k independent scans.
+//! batched pipeline (snapshot + template splicing + batch PRF).
 //!
-//! Besides the printed table it emits `BENCH_throughput.json` in the
-//! working directory so the numbers accumulate a performance trajectory
-//! across revisions.
+//! It then sweeps k = 1..8 at 8 192 and 278 528 records a subset: one
+//! `count_terms` call over all `2^k` value terms of a subset (one scan:
+//! each record block's `(id, key)` state computed once, one final PRF
+//! block per value) against `2^k` single-term `count_terms` calls (the
+//! fastest alternative: one lane scan per term). The counts must be
+//! equal; full mode asserts grouped ≥ 0.95× per-term at every k, quick
+//! mode (the CI smoke) ≥ 0.8×.
+//!
+//! Besides the printed tables it emits `BENCH_throughput.json` (its
+//! only writer) in the working directory so the numbers accumulate a
+//! performance trajectory across revisions.
 
-use crate::common::Config;
+use crate::common::{bench_header, Config};
 use crate::report::{f, Table};
 use psketch_core::{
     BitString, BitSubset, ConjunctiveEstimator, ConjunctiveQuery, Profile, SketchDb, Sketcher,
@@ -38,7 +46,9 @@ fn best_rate(reps: u64, records: usize, mut scan: impl FnMut()) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if `BENCH_throughput.json` cannot be written.
+/// Panics if any batched or grouped count diverges, if a sweep cell
+/// falls below the grouped/per-term floor, or if
+/// `BENCH_throughput.json` cannot be written.
 #[must_use]
 pub fn run(cfg: &Config) -> Vec<Table> {
     let m = cfg.m(1_000_000);
@@ -72,33 +82,7 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         assert_eq!(e.raw.to_bits(), warm.raw.to_bits(), "batched diverged");
     });
 
-    // Distribution scan over a narrower subset (2^4 values), one-pass vs
-    // 2^k scalar scans.
-    let dist_subset = BitSubset::range(0, 4);
-    let dist_m = cfg.m(200_000);
-    let dist_db = SketchDb::new();
-    for i in 0..dist_m as u64 {
-        let profile = Profile::from_bits(&[i % 5 == 0; 4]);
-        let sketch = sketcher
-            .sketch(UserId(i), &profile, &dist_subset, &mut rng)
-            .expect("sketching at ell=10 cannot exhaust");
-        dist_db.insert(dist_subset.clone(), UserId(i), sketch);
-    }
-    let _ = estimator
-        .estimate_distribution(&dist_db, &dist_subset)
-        .expect("populated");
-    let one_pass_rate = best_rate(reps, dist_m, || {
-        let _ = estimator
-            .estimate_distribution(&dist_db, &dist_subset)
-            .expect("populated");
-    });
-    let per_value_rate = best_rate(reps, dist_m, || {
-        for value in 0..16u64 {
-            let q = ConjunctiveQuery::new(dist_subset.clone(), BitString::from_u64(value, 4))
-                .expect("widths match");
-            let _ = estimator.estimate_scalar(&dist_db, &q).expect("populated");
-        }
-    });
+    let sweep = k_sweep(cfg, &estimator, &sketcher);
 
     let speedup = batched_rate / scalar_rate;
     let mut t = Table::new(
@@ -117,23 +101,56 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         f(batched_rate / m as f64, 2),
         format!("{speedup:.2}x"),
     ]);
-    t.note(format!(
-        "full 2^4-value distribution at M = {dist_m}: one-pass {} records/s \
-         vs 16 per-value scans {} records/s ({:.2}x)",
-        f(one_pass_rate, 0),
-        f(per_value_rate, 0),
-        one_pass_rate / per_value_rate,
-    ));
 
+    let mut sweep_table = Table::new(
+        "E20 — one grouped scan over all 2^k values vs 2^k single-term scans".to_string(),
+        &[
+            "records",
+            "k",
+            "values",
+            "grouped (ms)",
+            "per-term (ms)",
+            "speedup",
+        ],
+    );
+    for row in &sweep {
+        sweep_table.row(vec![
+            row.records.to_string(),
+            row.k.to_string(),
+            (1usize << row.k).to_string(),
+            f(row.grouped_ms, 3),
+            f(row.per_term_ms, 3),
+            format!("{:.2}x", row.speedup()),
+        ]);
+    }
+    sweep_table.note(format!(
+        "counts asserted equal; grouped asserted >= {}x per-term at every k",
+        speed_floor(cfg)
+    ));
+    let sweep_json: Vec<String> = sweep
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"records\": {}, \"k\": {}, \"grouped_ms\": {:.4}, \
+                 \"per_term_ms\": {:.4}, \"speedup\": {:.3}}}",
+                r.records,
+                r.k,
+                r.grouped_ms,
+                r.per_term_ms,
+                r.speedup()
+            )
+        })
+        .collect();
     let json = format!(
-        "{{\n  \"experiment\": \"e20_throughput\",\n  \"records\": {m},\n  \"width\": {k},\n  \"p\": 0.3,\n  \
+        "{{\n  {},\n  \"records\": {m},\n  \"width\": {k},\n  \"p\": 0.3,\n  \
          \"scalar_records_per_sec\": {scalar_rate:.1},\n  \"batched_records_per_sec\": {batched_rate:.1},\n  \
          \"batched_speedup\": {speedup:.3},\n  \"scalar_queries_per_sec\": {:.3},\n  \
-         \"batched_queries_per_sec\": {:.3},\n  \"distribution_records\": {dist_m},\n  \
-         \"distribution_one_pass_records_per_sec\": {one_pass_rate:.1},\n  \
-         \"distribution_per_value_records_per_sec\": {per_value_rate:.1}\n}}\n",
+         \"batched_queries_per_sec\": {:.3},\n  \
+         \"k_sweep\": [\n    {}\n  ]\n}}\n",
+        bench_header("e20_throughput"),
         scalar_rate / m as f64,
         batched_rate / m as f64,
+        sweep_json.join(",\n    "),
     );
     if cfg.quick {
         // Quick mode runs tiny populations; don't clobber the committed
@@ -144,5 +161,110 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         t.note("wrote BENCH_throughput.json");
     }
 
-    vec![t]
+    vec![t, sweep_table]
+}
+
+/// The grouped/per-term speed ratio every sweep cell must reach: 0.95
+/// in full mode, 0.8 in quick mode (smoke sizes are noisier; a
+/// regression like a lanes-across-values tally shows up as a multiple).
+fn speed_floor(cfg: &Config) -> f64 {
+    if cfg.quick {
+        0.8
+    } else {
+        0.95
+    }
+}
+
+/// One cell of the k-sweep.
+struct SweepRow {
+    records: usize,
+    k: usize,
+    grouped_ms: f64,
+    per_term_ms: f64,
+}
+
+impl SweepRow {
+    fn speedup(&self) -> f64 {
+        self.per_term_ms / self.grouped_ms.max(1e-12)
+    }
+}
+
+/// Wall time of one run of `run`, in milliseconds.
+fn time_ms(run: impl FnOnce()) -> f64 {
+    let start = Instant::now();
+    run();
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// The k = 1..8 sweep at 8 192 and 278 528 records a subset (scaled
+/// down in quick mode): grouped `count_terms` over all `2^k` terms vs
+/// `2^k` single-term calls, counts asserted equal and the speed floor
+/// asserted per cell.
+fn k_sweep(cfg: &Config, estimator: &ConjunctiveEstimator, sketcher: &Sketcher) -> Vec<SweepRow> {
+    let reps = if cfg.quick { 15 } else { cfg.reps(7) };
+    let floor = speed_floor(cfg);
+    let mut rows = Vec::new();
+    for (size, records) in [8_192usize, 278_528].into_iter().enumerate() {
+        let records = cfg.m(records);
+        let db = SketchDb::new();
+        let subsets: Vec<BitSubset> = (1..=8).map(|k| BitSubset::range(0, k)).collect();
+        let mut rng = cfg.rng(EXP, 1 + size as u64);
+        for i in 0..records as u64 {
+            let bits: Vec<bool> = (0..8).map(|b| (i >> b) % 3 == 0).collect();
+            let profile = Profile::from_bits(&bits);
+            for subset in &subsets {
+                let sketch = sketcher
+                    .sketch(UserId(i), &profile, subset, &mut rng)
+                    .expect("sketching at ell=10 cannot exhaust");
+                db.insert(subset.clone(), UserId(i), sketch);
+            }
+        }
+        for subset in &subsets {
+            let k = subset.len();
+            let terms: Vec<ConjunctiveQuery> = (0..1u64 << k)
+                .map(|v| ConjunctiveQuery::new(subset.clone(), BitString::from_u64(v, k)))
+                .collect::<Result<_, _>>()
+                .expect("widths match");
+            let grouped = estimator.count_terms(&db, &terms).expect("populated");
+            let per_term: Vec<(u64, u64)> = terms
+                .iter()
+                .map(|t| {
+                    estimator
+                        .count_terms(&db, std::slice::from_ref(t))
+                        .expect("populated")[0]
+                })
+                .collect();
+            assert_eq!(
+                grouped, per_term,
+                "k = {k}: grouped counts diverged from per-term"
+            );
+            // Alternate the two sides rep by rep so a slow spell of the
+            // host (a core taken away for a while) hits both alike; each
+            // side reports its best run.
+            let (mut grouped_ms, mut per_term_ms) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..reps {
+                grouped_ms = grouped_ms.min(time_ms(|| {
+                    let _ = estimator.count_terms(&db, &terms);
+                }));
+                per_term_ms = per_term_ms.min(time_ms(|| {
+                    for t in &terms {
+                        let _ = estimator.count_terms(&db, std::slice::from_ref(t));
+                    }
+                }));
+            }
+            let row = SweepRow {
+                records,
+                k,
+                grouped_ms,
+                per_term_ms,
+            };
+            assert!(
+                row.speedup() >= floor,
+                "k = {k} at {records} records: grouped scan ran {:.2}x per-term (floor {floor}x)",
+                row.speedup()
+            );
+            rows.push(row);
+        }
+    }
+    rows
 }

@@ -7,10 +7,12 @@
 //! * **local**: the legacy per-term evaluation (`QueryEngine::linear`
 //!   with memoization — one estimator scan per distinct term, one
 //!   snapshot take per scan) against the plan path
-//!   (`QueryEngine::execute_plan` over the batched
-//!   `count_terms` entry point: one snapshot per distinct *subset*,
-//!   dense per-subset groups answered by the one-pass distribution
-//!   tally);
+//!   (`QueryEngine::execute_plan` over the batched `count_terms` entry
+//!   point: one snapshot and one multi-value scan per distinct
+//!   *subset*). Each side's time is the best of its repetitions, and
+//!   the plan path must run at ≥ 0.95× the legacy path for every family
+//!   in full mode (≥ 0.8× in quick mode, the CI smoke): a grouping rule
+//!   that makes plans slower than per-term scanning fails the run;
 //! * **cluster**: plan throughput through the scatter-gather router at
 //!   1, 2 and 4 loopback shards — one generic `PartialTermCounts`
 //!   round trip per shard per plan, whatever the family;
@@ -19,7 +21,7 @@
 //!
 //! Emits `BENCH_plans.json`.
 
-use crate::common::Config;
+use crate::common::{bench_header, Config};
 use crate::report::{f, Table};
 use psketch_cluster::{parallel_ingest, Router, RouterConfig, ShardMap};
 use psketch_core::{BitString, BitSubset, ConjunctiveQuery, IntField, Profile, UserId};
@@ -143,13 +145,16 @@ struct FamilyRun {
 ///
 /// # Panics
 ///
-/// Panics if any plan answer diverges from the legacy path, a loopback
-/// cluster misbehaves, or the output file cannot be written.
+/// Panics if any plan answer diverges from the legacy path, a family's
+/// plan path runs below the speed floor, a loopback cluster misbehaves,
+/// or the output file cannot be written.
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn run(cfg: &Config) -> Vec<Table> {
     let m = cfg.m(30_000);
     let reps = cfg.reps(40);
+    // Plan-vs-legacy speed floor (quick smoke sizes are noisier).
+    let floor = if cfg.quick { 0.8 } else { 0.95 };
     let plans = families();
     let ann = announcement(cfg, m, &plans);
     let subs = make_submissions(cfg, &ann, m);
@@ -164,18 +169,24 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         .iter()
         .map(|(name, plan)| {
             let lqs = legacy_queries(plan);
-            let start = Instant::now();
-            let mut legacy = Vec::new();
+            let legacy = engine.linear_batch(oracle.pool(), &lqs).expect("legacy");
+            let answers = engine.execute_plan(oracle.pool(), plan).expect("plan");
+            // Alternate the two paths rep by rep so host noise hits both
+            // alike; each side reports its best run.
+            let (mut legacy_ms, mut plan_ms) = (f64::INFINITY, f64::INFINITY);
             for _ in 0..reps {
-                legacy = engine.linear_batch(oracle.pool(), &lqs).expect("legacy");
+                let start = Instant::now();
+                let _ = engine.linear_batch(oracle.pool(), &lqs);
+                legacy_ms = legacy_ms.min(start.elapsed().as_secs_f64() * 1e3);
+                let start = Instant::now();
+                let _ = engine.execute_plan(oracle.pool(), plan);
+                plan_ms = plan_ms.min(start.elapsed().as_secs_f64() * 1e3);
             }
-            let legacy_ms = start.elapsed().as_secs_f64() * 1e3 / reps as f64;
-            let start = Instant::now();
-            let mut answers = Vec::new();
-            for _ in 0..reps {
-                answers = engine.execute_plan(oracle.pool(), plan).expect("plan");
-            }
-            let plan_ms = start.elapsed().as_secs_f64() * 1e3 / reps as f64;
+            assert!(
+                legacy_ms / plan_ms >= floor,
+                "{name}: plan path ran {:.2}x the legacy per-term path (floor {floor}x)",
+                legacy_ms / plan_ms
+            );
             for (a, l) in answers.iter().zip(&legacy) {
                 assert_eq!(
                     a.value.to_bits(),
@@ -279,6 +290,9 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         t.row(row);
     }
     t.note("every plan answer verified bit-identical to the legacy per-term path");
+    t.note(format!(
+        "times are best of {reps} alternating runs; plan asserted >= {floor}x legacy per family"
+    ));
     t.note("cluster: one generic PartialTermCounts round trip per shard per plan");
 
     let entries: Vec<String> = runs
@@ -301,7 +315,8 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         })
         .collect();
     let json = format!(
-        "{{\n  \"experiment\": \"e23_plans\",\n  \"users\": {m},\n  \"families\": [\n{}\n  ]\n}}\n",
+        "{{\n  {},\n  \"users\": {m},\n  \"families\": [\n{}\n  ]\n}}\n",
+        bench_header("e23_plans"),
         entries.join(",\n")
     );
     if cfg.quick {

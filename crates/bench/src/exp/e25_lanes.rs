@@ -6,16 +6,15 @@
 //! measures the full matrix — lane width ∈ {1, 4, 8} × worker threads ∈
 //! {1, 2, 4} — over the same 1M-record shard scan e20 measures, asserts
 //! that every cell produces the *same count* as the scalar reference
-//! (lane paths are bit-identical, so this must hold exactly), and rewrites
-//! `BENCH_throughput.json` with the matrix alongside the e20-style
-//! baseline fields.
+//! (lane paths are bit-identical, so this must hold exactly), and writes
+//! the matrix to `BENCH_lanes.json` (its only writer).
 //!
 //! In quick mode this doubles as the CI throughput smoke: identity is
 //! asserted at every width, and the best lane width must not be
 //! slower than the scalar loop beyond a generous noise margin — a
 //! catastrophic-regression guard, not a precision benchmark.
 
-use crate::common::Config;
+use crate::common::{bench_header, host_cores, Config};
 use crate::report::{f, Table};
 use psketch_core::{
     set_lane_width, BitString, BitSubset, ConjunctiveEstimator, ConjunctiveQuery, HFunction,
@@ -47,8 +46,8 @@ fn best_rate(reps: u64, records: usize, expected: usize, mut scan: impl FnMut() 
 /// # Panics
 ///
 /// Panics if any lane/thread combination miscounts, if the best lane
-/// width regresses far below the scalar loop, or if
-/// `BENCH_throughput.json` cannot be written.
+/// width regresses far below the scalar loop, or if `BENCH_lanes.json`
+/// cannot be written.
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn run(cfg: &Config) -> Vec<Table> {
@@ -67,36 +66,21 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         db.insert(subset.clone(), UserId(i), sketch);
     }
 
-    // The raw scan under measurement: PreparedH::count_ones over the
-    // snapshot columns — exactly the estimator's inner loop, driven
+    // The raw scan under measurement: a one-value PreparedH::count_ones
+    // over the snapshot columns — exactly the estimator's scan, driven
     // directly so the thread count is ours to choose per cell.
     let value = BitString::from_bits(&vec![true; k]);
-    let prepared = HFunction::new(&params).prepare_query(&subset, &value);
+    let prepared = HFunction::new(&params).prepare(&subset, k);
     let snapshot = db.snapshot(&subset).expect("populated");
-    let (ids, keys) = (snapshot.ids(), snapshot.keys());
+    let scan_with_threads = |threads: usize| {
+        prepared.count_ones(snapshot.ids(), snapshot.keys(), &[&value], threads)[0]
+    };
 
     // Scalar oracle count: every matrix cell must reproduce it exactly.
     set_lane_width(1).expect("1 is a supported width");
-    let expected = prepared.count_ones(ids, keys);
+    let expected = scan_with_threads(1);
 
     let reps = if cfg.quick { 30 } else { cfg.reps(7) };
-    let scan_with_threads = |threads: usize| -> usize {
-        if threads <= 1 {
-            return prepared.count_ones(ids, keys);
-        }
-        let chunk = ids.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ids
-                .chunks(chunk)
-                .zip(keys.chunks(chunk))
-                .map(|(ids, keys)| scope.spawn(|| prepared.count_ones(ids, keys)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("count worker panicked"))
-                .sum()
-        })
-    };
 
     let mut matrix: Vec<(usize, usize, f64)> = Vec::new();
     for &lanes in SUPPORTED_LANE_WIDTHS {
@@ -156,7 +140,7 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         "lane path regressed below the scalar loop: best {best_1core:.0} vs scalar {scalar_1core:.0} records/s"
     );
 
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let host_cores = host_cores();
     let mut t = Table::new(
         format!("E25 — PRF lane throughput at M = {m} (k = {k}, p = 0.3), records/s"),
         &[
@@ -198,8 +182,7 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         })
         .collect();
     let json = format!(
-        "{{\n  \"experiment\": \"e25_lanes\",\n  \"records\": {m},\n  \"width\": {k},\n  \"p\": 0.3,\n  \
-         \"host_cores\": {host_cores},\n  \
+        "{{\n  {},\n  \"records\": {m},\n  \"width\": {k},\n  \"p\": 0.3,\n  \
          \"host_cores_note\": \"thread counts above host_cores are oversubscribed on this host\",\n  \
          \"probed_lane_width\": {},\n  \
          \"scalar_records_per_sec\": {scalar_1core:.1},\n  \
@@ -208,15 +191,16 @@ pub fn run(cfg: &Config) -> Vec<Table> {
          \"best_single_core_lanes\": {best_lanes},\n  \
          \"lane_speedup_vs_scalar\": {:.3},\n  \
          \"lanes_matrix\": [\n    {}\n  ]\n}}\n",
+        bench_header("e25_lanes"),
         psketch_core::probe_lane_width(),
         best_1core / scalar_1core,
         matrix_json.join(",\n    "),
     );
     if cfg.quick {
-        t.note("quick mode: BENCH_throughput.json not written");
+        t.note("quick mode: BENCH_lanes.json not written");
     } else {
-        std::fs::write("BENCH_throughput.json", json).expect("write BENCH_throughput.json");
-        t.note("wrote BENCH_throughput.json");
+        std::fs::write("BENCH_lanes.json", json).expect("write BENCH_lanes.json");
+        t.note("wrote BENCH_lanes.json");
     }
 
     vec![t]

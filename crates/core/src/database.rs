@@ -62,7 +62,7 @@ struct Shard {
 impl Shard {
     fn append(&self, id: UserId, sketch: Sketch) {
         self.pending.lock().push(id, sketch);
-        // ord: release pairs with the AcqRel swap in `snapshot`, which
+        // ord: release pairs with the acquire load in `snapshot`, which
         // must observe the pending rows pushed above
         self.stale.store(true, Ordering::Release);
     }
@@ -73,7 +73,7 @@ impl Shard {
             pending.push(rec.id, rec.sketch);
         }
         drop(pending);
-        // ord: release pairs with the AcqRel swap in `snapshot`
+        // ord: release pairs with the acquire load in `snapshot`
         self.stale.store(true, Ordering::Release);
     }
 
@@ -83,16 +83,28 @@ impl Shard {
 
     /// Publishes the pending columns if they changed, then hands out the
     /// current snapshot (an `Arc` clone).
+    ///
+    /// `stale` is cleared only inside the `pending` critical section and
+    /// only *after* the new columns are published. A caller that reads
+    /// `stale == false` therefore finds every row appended before that
+    /// clear in the published columns — which a WAL compaction relies on
+    /// when it encodes a snapshot and then truncates the log.
     fn snapshot(&self) -> Arc<Columns> {
-        // ord: acquire sees the rows behind a writer's release store;
-        // release keeps a racing snapshotter honest about the clear
-        if self.stale.swap(false, Ordering::AcqRel) {
+        // ord: acquire sees the rows behind a writer's release store
+        if self.stale.load(Ordering::Acquire) {
             // Clone *and* publish while holding the pending mutex:
             // appends and competing publishers serialize on it, so a
             // slow publisher can never overwrite a newer snapshot with
             // stale columns (published contents only ever grow).
             let pending = self.pending.lock();
-            *self.published.write() = Arc::new(pending.clone());
+            // ord: relaxed re-check under the mutex, which orders it
+            // after any publisher that cleared the flag before us
+            if self.stale.load(Ordering::Relaxed) {
+                *self.published.write() = Arc::new(pending.clone());
+                // ord: release pairs with the acquire load above: a
+                // reader that sees the clear sees the published columns
+                self.stale.store(false, Ordering::Release);
+            }
         }
         self.published.read().clone()
     }
@@ -205,7 +217,7 @@ impl SketchDb {
             pending.keys.extend_from_slice(&keys);
         }
         drop(pending);
-        // ord: release pairs with the AcqRel swap in `snapshot`
+        // ord: release pairs with the acquire load in `snapshot`
         shard.stale.store(true, Ordering::Release);
     }
 
@@ -426,6 +438,36 @@ mod tests {
         }
         assert_eq!(db.count(&b), 800);
         assert_eq!(db.snapshot(&b).unwrap().len(), 800);
+    }
+
+    #[test]
+    fn snapshot_during_a_racing_republish_sees_every_appended_row() {
+        // A republish is in flight (its publisher waits on the pending
+        // mutex, held here) when a second caller — a WAL compaction, say
+        // — takes a snapshot. The second caller must not be handed the
+        // older published columns: it waits for the publish instead.
+        // The sleeps only let each reader reach its wait before the mutex
+        // is released; the assertions hold under every interleaving, and
+        // code that clears `stale` before taking the mutex fails them.
+        let db = Arc::new(SketchDb::new());
+        let b = subset(&[0]);
+        db.insert(b.clone(), UserId(1), Sketch { key: 1 });
+        let _ = db.snapshot(&b).unwrap();
+        db.insert(b.clone(), UserId(2), Sketch { key: 2 });
+        let shard = db.shard(&b).unwrap();
+        let held = shard.pending.lock();
+        let spawn_reader = || {
+            let db = Arc::clone(&db);
+            let b = b.clone();
+            std::thread::spawn(move || db.snapshot(&b).unwrap().len())
+        };
+        let publisher = spawn_reader();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let second = spawn_reader();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        drop(held);
+        assert_eq!(publisher.join().unwrap(), 2);
+        assert_eq!(second.join().unwrap(), 2, "handed pre-append columns");
     }
 
     #[test]

@@ -18,20 +18,24 @@ use crate::params::{Error, SketchParams};
 use crate::profile::{BitString, BitSubset};
 use psketch_obs as obs;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
+use std::borrow::Borrow;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
-/// Below this record count the batched scan stays single-threaded, and
-/// above it each worker thread gets at least this many records: the
-/// per-thread setup (a scoped spawn + join) only pays for itself on
-/// large chunks.
+/// Below this much work — records × values, the PRF evaluations one scan
+/// performs — the scan stays single-threaded, and above it each worker
+/// thread gets at least this much: the per-thread setup (a scoped spawn +
+/// join) only pays for itself on large chunks. A scan of 2^k values
+/// therefore splits its records across threads at 2^k times fewer
+/// records than a one-term scan.
 ///
 /// Re-tuned after the SIMD-lane PRF landed (e25): the 8-lane scan runs
 /// ~271M records/s on the reference AVX-512 host (was ~64M/s batched
 /// scalar), so a 2^16-record chunk dropped from ~1 ms of work to ~240 µs
 /// while a scoped spawn+join measures 9–20 µs — the old threshold would
-/// spend up to ~8% of each chunk on thread setup. 2^18 records ≈ 1 ms at
-/// lane speed, restoring the ~2% overhead the original tuning chose; the
-/// scans this leaves single-threaded finish in under a millisecond
+/// spend up to ~8% of each chunk on thread setup. 2^18 evaluations ≈ 1 ms
+/// at lane speed, restoring the ~2% overhead the original tuning chose;
+/// the scans this leaves single-threaded finish in under a millisecond
 /// anyway.
 const PARALLEL_THRESHOLD: usize = 1 << 18;
 
@@ -175,7 +179,7 @@ impl ConjunctiveEstimator {
     /// Runs Algorithm 2 for `query` against `db` — the batched path.
     ///
     /// Takes a columnar [`SubsetSnapshot`] (no record cloning), prepares
-    /// the PRF input template for `(B, v)` once, and streams the id/key
+    /// the PRF input template for `B` once, and streams the id/key
     /// columns through the batch PRF entry point, splitting the columns
     /// across threads for large shards. The result is bit-identical to
     /// [`ConjunctiveEstimator::estimate_scalar`]: the per-record PRF
@@ -187,12 +191,7 @@ impl ConjunctiveEstimator {
     ///   query's subset;
     /// * [`Error::EmptyDatabase`] if the subset exists but holds no records.
     pub fn estimate(&self, db: &SketchDb, query: &ConjunctiveQuery) -> Result<Estimate, Error> {
-        let snapshot = db.snapshot(query.subset())?;
-        if snapshot.is_empty() {
-            return Err(Error::EmptyDatabase);
-        }
-        let ones = self.count_ones(&snapshot, query);
-        Ok(self.finish(ones, snapshot.len()))
+        self.estimate_snapshot(&db.snapshot(query.subset())?, query)
     }
 
     /// Runs Algorithm 2 against an already-taken snapshot (lets callers
@@ -209,8 +208,8 @@ impl ConjunctiveEstimator {
         if snapshot.is_empty() {
             return Err(Error::EmptyDatabase);
         }
-        let ones = self.count_ones(snapshot, query);
-        Ok(self.finish(ones, snapshot.len()))
+        let ones = self.scan(snapshot, query.subset(), &[query.value()]);
+        Ok(self.finish(ones[0], snapshot.len()))
     }
 
     /// The raw satisfying count behind [`ConjunctiveEstimator::estimate`]:
@@ -231,46 +230,20 @@ impl ConjunctiveEstimator {
         if snapshot.is_empty() {
             return Err(Error::EmptyDatabase);
         }
-        let ones = self.count_ones(&snapshot, query);
-        Ok((ones as u64, snapshot.len() as u64))
-    }
-
-    /// The raw per-value satisfying counts behind
-    /// [`ConjunctiveEstimator::estimate_distribution`]: one count per
-    /// LSB-first value of the subset, plus the shard population.
-    ///
-    /// # Errors
-    ///
-    /// As [`ConjunctiveEstimator::estimate_distribution`].
-    pub fn count_distribution(
-        &self,
-        db: &SketchDb,
-        subset: &BitSubset,
-    ) -> Result<(Vec<u64>, u64), Error> {
-        assert!(
-            subset.len() <= 20,
-            "count_distribution supports at most 20-bit subsets"
-        );
-        let snapshot = db.snapshot(subset)?;
-        if snapshot.is_empty() {
-            return Err(Error::EmptyDatabase);
-        }
-        let ones = self.distribution_ones(&snapshot, subset);
-        Ok((
-            ones.into_iter().map(|c| c as u64).collect(),
-            snapshot.len() as u64,
-        ))
+        let ones = self.scan(&snapshot, query.subset(), &[query.value()]);
+        Ok((ones[0] as u64, snapshot.len() as u64))
     }
 
     /// Batched raw counts for a *plan's term list*: one `(ones,
     /// population)` pair per query, in input order.
     ///
     /// This is the batch entry point plan executors drive. Terms are
-    /// grouped by subset so each distinct subset's snapshot is taken
-    /// once and every term on it scans the same consistent columns; a
-    /// group that covers most of a narrow subset's `2^k` value space is
-    /// answered by the one-pass distribution tally instead of per-term
-    /// scans (the counts are identical either way — both are exact
+    /// grouped by subset, and each group is answered by exactly one scan
+    /// of one snapshot: the columns are read once, each record block's
+    /// `(id, key)` state is computed once, and every value in the group
+    /// costs one final PRF block on top. Whether a group holds one term
+    /// or the subset's whole `2^k` value space, the counts equal per-term
+    /// [`ConjunctiveEstimator::count`] calls exactly (both are exact
     /// integer tallies over the same records).
     ///
     /// # Errors
@@ -327,30 +300,13 @@ impl ConjunctiveEstimator {
                 }
                 Err(e) => return Err(e),
             };
-            let n = snapshot.len() as u64;
-            let k = subset.len();
-            // Dense groups over a narrow subset: one distribution pass.
-            if k <= 16 && idxs.len() as u64 > (1u64 << k) / 2 && !snapshot.is_empty() {
-                let ones = self.distribution_ones(&snapshot, subset);
-                for &i in &idxs {
-                    let value = queries[i].value();
-                    let mut index = 0usize;
-                    for b in 0..k {
-                        if value.get(b) {
-                            index |= 1 << b;
-                        }
-                    }
-                    counts[i] = (ones[index] as u64, n);
-                }
-                continue;
+            if snapshot.is_empty() {
+                continue; // (0, 0): nothing to scan
             }
-            for &i in &idxs {
-                let ones = if snapshot.is_empty() {
-                    0
-                } else {
-                    self.count_ones(&snapshot, &queries[i])
-                };
-                counts[i] = (ones as u64, n);
+            let values: Vec<&BitString> = idxs.iter().map(|&i| queries[i].value()).collect();
+            let ones = self.scan(&snapshot, subset, &values);
+            for (&i, ones) in idxs.iter().zip(ones) {
+                counts[i] = (ones as u64, snapshot.len() as u64);
             }
         }
         Ok(counts)
@@ -390,9 +346,10 @@ impl ConjunctiveEstimator {
     /// a single pass.
     ///
     /// Each user's sketch supports *every* value query on its subset, so
-    /// one scan over the records suffices: per record, the encoded prefix
-    /// `domain ‖ id ‖ B` is reused across all `2^k` spliced values
-    /// instead of running `2^k` independent full scans. Values are
+    /// this is one [`ConjunctiveEstimator::count_terms`]-style scan over
+    /// all `2^k` values: the columns are read once, each record block's
+    /// `(id, key)` state is computed once and every value adds one final
+    /// PRF block, with the SIMD lanes running across records. Values are
     /// indexed by their LSB-first integer encoding.
     ///
     /// # Errors
@@ -412,125 +369,46 @@ impl ConjunctiveEstimator {
         if snapshot.is_empty() {
             return Err(Error::EmptyDatabase);
         }
-        let n = snapshot.len();
-        let ones = self.distribution_ones(&snapshot, subset);
+        let values: Vec<BitString> = (0..1u64 << subset.len())
+            .map(|v| BitString::from_u64(v, subset.len()))
+            .collect();
+        let ones = self.scan(&snapshot, subset, &values);
         Ok(ones
             .into_iter()
-            .map(|count| self.finish(count, n))
+            .map(|count| self.finish(count, snapshot.len()))
             .collect())
     }
 
-    /// One-pass per-value satisfying counts over a snapshot (the shared
-    /// scan behind `estimate_distribution` and `count_distribution`).
-    fn distribution_ones(&self, snapshot: &SubsetSnapshot, subset: &BitSubset) -> Vec<usize> {
-        let values = 1usize << subset.len();
-        let n = snapshot.len();
-        let threads = self.thread_count(n.saturating_mul(values));
-        let started = obs::enabled().then(Instant::now);
-        let span = scan_span(n, threads);
-        let ones = self.distribution_ones_inner(snapshot, subset, values, threads);
-        drop(span);
-        if let Some(started) = started {
-            record_scan("distribution", n, threads, started.elapsed());
-        }
-        ones
-    }
-
-    fn distribution_ones_inner(
+    /// The one scan behind every entry point: for each value `v` in
+    /// `values`, counts the snapshot's records with `H(id, B, v, s) = 1`,
+    /// in one pass over the columns. The records are split across
+    /// threads once the work (records × values) crosses
+    /// [`PARALLEL_THRESHOLD`].
+    fn scan<V: Borrow<BitString>>(
         &self,
         snapshot: &SubsetSnapshot,
         subset: &BitSubset,
-        values: usize,
-        threads: usize,
+        values: &[V],
     ) -> Vec<usize> {
-        let n = snapshot.len();
-        let ids = snapshot.ids();
-        let keys = snapshot.keys();
-        if threads <= 1 {
-            let mut prepared = self.h.prepare(subset, subset.len());
-            let mut ones = vec![0usize; values];
-            for (&id, &key) in ids.iter().zip(keys) {
-                prepared.tally_record(id, key, &mut ones);
-            }
-            ones
-        } else {
-            // Chunk the records; each thread tallies into its own vector
-            // and the tallies are summed — identical to the sequential
-            // counts because addition of exact counts commutes.
-            let chunk = n.div_ceil(threads);
-            let prepared = self.h.prepare(subset, subset.len());
-            let partials: Vec<Vec<usize>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = ids
-                    .chunks(chunk)
-                    .zip(keys.chunks(chunk))
-                    .map(|(ids, keys)| {
-                        let mut prepared = prepared.clone();
-                        scope.spawn(move || {
-                            let mut ones = vec![0usize; values];
-                            for (&id, &key) in ids.iter().zip(keys) {
-                                prepared.tally_record(id, key, &mut ones);
-                            }
-                            ones
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("tally worker panicked"))
-                    .collect()
-            });
-            let mut ones = vec![0usize; values];
-            for partial in partials {
-                for (total, part) in ones.iter_mut().zip(partial) {
-                    *total += part;
-                }
-            }
-            ones
-        }
-    }
-
-    /// Counts records with `H(id, B, v, s) = 1` over the snapshot's
-    /// columns, splitting across threads above [`PARALLEL_THRESHOLD`].
-    fn count_ones(&self, snapshot: &SubsetSnapshot, query: &ConjunctiveQuery) -> usize {
-        let ids = snapshot.ids();
-        let threads = self.thread_count(ids.len());
+        let records = snapshot.len();
+        let threads = self.thread_count(records.saturating_mul(values.len()));
         let started = obs::enabled().then(Instant::now);
-        let span = scan_span(ids.len(), threads);
-        let ones = self.count_ones_inner(snapshot, query, threads);
+        let span = obs::span::enter("estimator:scan");
+        span.attr("records", records as u64);
+        span.attr("values", values.len() as u64);
+        span.attr("threads", threads as u64);
+        span.attr("lanes", psketch_prf::lane_width() as u64);
+        let ones = self.h.prepare(subset, subset.len()).count_ones(
+            snapshot.ids(),
+            snapshot.keys(),
+            values,
+            threads,
+        );
         drop(span);
         if let Some(started) = started {
-            record_scan("conjunctive", ids.len(), threads, started.elapsed());
+            record_scan(records, threads, started.elapsed());
         }
         ones
-    }
-
-    fn count_ones_inner(
-        &self,
-        snapshot: &SubsetSnapshot,
-        query: &ConjunctiveQuery,
-        threads: usize,
-    ) -> usize {
-        let ids = snapshot.ids();
-        let keys = snapshot.keys();
-        let prepared = self.h.prepare_query(query.subset(), query.value());
-        if threads <= 1 {
-            return prepared.count_ones(ids, keys);
-        }
-        let chunk = ids.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ids
-                .chunks(chunk)
-                .zip(keys.chunks(chunk))
-                .map(|(ids, keys)| {
-                    let prepared = &prepared;
-                    scope.spawn(move || prepared.count_ones(ids, keys))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("count worker panicked"))
-                .sum()
-        })
     }
 
     /// Number of worker threads for a scan of `work` PRF evaluations.
@@ -547,33 +425,49 @@ impl ConjunctiveEstimator {
     }
 }
 
-/// Records one sketch scan into the process metrics registry, labeled by
-/// query kind, the active SIMD lane width, and the thread count the
-/// dispatcher chose — the three knobs that determine scan throughput.
-/// Called once per scan (never per record), so the registry lookup is
-/// noise next to the scan itself.
-/// Opens the per-scan profiling span (inert — one relaxed load — unless
-/// the request thread has a trace open). One span per scan, not per
-/// record: a profiled plan grows one `estimator:scan` child per term.
-fn scan_span(records: usize, threads: usize) -> obs::SpanGuard {
-    let span = obs::span::enter("estimator:scan");
-    span.attr("records", records as u64);
-    span.attr("threads", threads as u64);
-    span.attr("lanes", psketch_prf::lane_width() as u64);
-    span
+/// The three metric handles one scan records into.
+struct ScanMetrics {
+    nanos: Arc<obs::Histogram>,
+    records: Arc<obs::Counter>,
+    scans: Arc<obs::Counter>,
 }
 
-fn record_scan(kind: &str, records: usize, threads: usize, elapsed: std::time::Duration) {
-    let lanes = psketch_prf::lane_width().to_string();
-    let threads = threads.to_string();
-    let labels = [
-        ("kind", kind),
-        ("lanes", lanes.as_str()),
-        ("threads", threads.as_str()),
-    ];
-    obs::histogram("psketch_scan_nanos", &labels).record_duration(elapsed);
-    obs::counter("psketch_scan_records_total", &labels).add(records as u64);
-    obs::counter("psketch_scans_total", &labels).inc();
+/// Records one sketch scan into the process metrics registry, labeled by
+/// the active SIMD lane width and the thread count the dispatcher chose —
+/// the two knobs that determine scan throughput. The handles are resolved
+/// once per `(lanes, threads)` pair and cached, so a scan records with
+/// three atomic updates: no label formatting, no registry lookup.
+fn record_scan(records: usize, threads: usize, elapsed: Duration) {
+    let metrics = scan_metrics(psketch_prf::lane_width(), threads);
+    metrics.nanos.record_duration(elapsed);
+    metrics.records.add(records as u64);
+    metrics.scans.inc();
+}
+
+/// The cached handles for `(lanes, threads)`: one lazily filled slot per
+/// supported lane width and thread count (`1..=available_workers()`, the
+/// range [`ConjunctiveEstimator::thread_count`] returns).
+fn scan_metrics(lanes: usize, threads: usize) -> &'static ScanMetrics {
+    static SLOTS: OnceLock<Box<[OnceLock<ScanMetrics>]>> = OnceLock::new();
+    let workers = available_workers();
+    let slots = SLOTS.get_or_init(|| {
+        (0..psketch_prf::SUPPORTED_LANE_WIDTHS.len() * workers)
+            .map(|_| OnceLock::new())
+            .collect()
+    });
+    let lane_slot = psketch_prf::SUPPORTED_LANE_WIDTHS
+        .iter()
+        .position(|&w| w == lanes)
+        .expect("lane_width() returns a supported width");
+    slots[lane_slot * workers + threads - 1].get_or_init(|| {
+        let (lanes, threads) = (lanes.to_string(), threads.to_string());
+        let labels = [("lanes", lanes.as_str()), ("threads", threads.as_str())];
+        ScanMetrics {
+            nanos: obs::histogram("psketch_scan_nanos", &labels),
+            records: obs::counter("psketch_scan_records_total", &labels),
+            scans: obs::counter("psketch_scans_total", &labels),
+        }
+    })
 }
 
 /// The host's available parallelism, probed once per process.
@@ -583,7 +477,7 @@ fn record_scan(kind: &str, records: usize, threads: usize, elapsed: std::time::D
 /// [`ConjunctiveEstimator::thread_count`], so the probe is cached here to
 /// keep the dispatch decision a branch and a load.
 fn available_workers() -> usize {
-    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    static WORKERS: OnceLock<usize> = OnceLock::new();
     *WORKERS.get_or_init(|| {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -767,16 +661,18 @@ mod tests {
     #[test]
     fn one_pass_distribution_equals_scalar_scans() {
         let p = 0.3;
-        let (db, subset) = build_db(p, 4, 1_500, 0.6);
-        let est = ConjunctiveEstimator::new(params(p));
-        let dist = est.estimate_distribution(&db, &subset).unwrap();
-        assert_eq!(dist.len(), 16);
-        for (value, batched) in dist.iter().enumerate() {
-            let q = ConjunctiveQuery::new(subset.clone(), BitString::from_u64(value as u64, 4))
-                .unwrap();
-            let scalar = est.estimate_scalar(&db, &q).unwrap();
-            assert_eq!(batched.fraction.to_bits(), scalar.fraction.to_bits());
-            assert_eq!(batched.raw.to_bits(), scalar.raw.to_bits());
+        for k in [1usize, 4, 6] {
+            let (db, subset) = build_db(p, k, 1_500, 0.6);
+            let est = ConjunctiveEstimator::new(params(p));
+            let dist = est.estimate_distribution(&db, &subset).unwrap();
+            assert_eq!(dist.len(), 1 << k);
+            for (value, batched) in dist.iter().enumerate() {
+                let q = ConjunctiveQuery::new(subset.clone(), BitString::from_u64(value as u64, k))
+                    .unwrap();
+                let scalar = est.estimate_scalar(&db, &q).unwrap();
+                assert_eq!(batched.fraction.to_bits(), scalar.fraction.to_bits());
+                assert_eq!(batched.raw.to_bits(), scalar.raw.to_bits());
+            }
         }
     }
 
@@ -809,37 +705,88 @@ mod tests {
         assert_eq!(from_counts.raw.to_bits(), scanned.raw.to_bits());
         assert_eq!(from_counts.sample_size, scanned.sample_size);
 
-        let (dist_ones, dist_n) = est.count_distribution(&db, &subset).unwrap();
+        let terms: Vec<ConjunctiveQuery> = (0..16u64)
+            .map(|v| ConjunctiveQuery::new(subset.clone(), BitString::from_u64(v, 4)).unwrap())
+            .collect();
+        let counts = est.count_terms(&db, &terms).unwrap();
         let dist = est.estimate_distribution(&db, &subset).unwrap();
-        assert_eq!(dist_ones.len(), 16);
-        for (count, scanned) in dist_ones.iter().zip(&dist) {
-            let e = Estimate::from_counts(*count, dist_n, p);
+        assert_eq!(counts.len(), 16);
+        for (&(ones, n), scanned) in counts.iter().zip(&dist) {
+            let e = Estimate::from_counts(ones, n, p);
             assert_eq!(e.fraction.to_bits(), scanned.fraction.to_bits());
         }
     }
 
     #[test]
     fn count_terms_matches_per_term_counts() {
+        // One pool with a subset of every width k = 1..=8. 2 001 records
+        // a subset: a full 2^8-value group is 512k evaluations, past
+        // PARALLEL_THRESHOLD, so its scan splits across threads (on a
+        // multi-core host) into chunks with lane remainders.
         let p = 0.3;
-        let (db, subset) = build_db(p, 4, 2_000, 0.4);
-        let est = ConjunctiveEstimator::new(params(p));
-        // A sparse mix (per-term scan path) plus the full value space
-        // (the one-pass distribution path) — both must match the
-        // per-term oracle exactly.
-        let sparse: Vec<ConjunctiveQuery> = [3u64, 9]
+        let params = params(p);
+        let sketcher = Sketcher::new(params);
+        let db = SketchDb::new();
+        let mut rng = Prg::seed_from_u64(5);
+        let subsets: Vec<BitSubset> = (1..=8).map(|k| BitSubset::range(0, k)).collect();
+        for i in 0..2_001u64 {
+            let profile = Profile::from_bits(&[
+                i % 2 == 0,
+                i % 3 == 0,
+                i % 5 < 2,
+                i % 7 < 3,
+                true,
+                false,
+                i % 4 == 1,
+                i % 9 < 4,
+            ]);
+            for subset in &subsets {
+                let s = sketcher
+                    .sketch(UserId(i), &profile, subset, &mut rng)
+                    .unwrap();
+                db.insert(subset.clone(), UserId(i), s);
+            }
+        }
+        let est = ConjunctiveEstimator::new(params);
+        let term = |subset: &BitSubset, v: u64| {
+            ConjunctiveQuery::new(subset.clone(), BitString::from_u64(v, subset.len())).unwrap()
+        };
+        // Dense groups: every value of each subset, one call per width.
+        let dense: Vec<Vec<ConjunctiveQuery>> = subsets
             .iter()
-            .map(|&v| ConjunctiveQuery::new(subset.clone(), BitString::from_u64(v, 4)).unwrap())
+            .map(|s| (0..1u64 << s.len()).map(|v| term(s, v)).collect())
             .collect();
-        let dense: Vec<ConjunctiveQuery> = (0..16u64)
-            .map(|v| ConjunctiveQuery::new(subset.clone(), BitString::from_u64(v, 4)).unwrap())
-            .collect();
-        for queries in [&sparse, &dense] {
+        // A mixed call: sparse and dense groups of every width,
+        // interleaved, with a repeated term.
+        let mut mixed = Vec::new();
+        for (k, subset) in subsets.iter().enumerate() {
+            let values = 1u64 << subset.len();
+            let picks: Vec<u64> = if k % 2 == 0 {
+                (0..values).rev().collect()
+            } else {
+                vec![values - 1, 0, values / 2, 0]
+            };
+            for v in picks {
+                mixed.push(term(subset, v));
+                mixed.push(term(&subsets[(k + 3) % subsets.len()], v % 2));
+            }
+        }
+        for queries in dense.iter().chain([&mixed]) {
             let batched = est.count_terms(&db, queries).unwrap();
             let partial = est.count_terms_partial(&db, queries);
             assert_eq!(batched, partial);
             for (q, &(ones, n)) in queries.iter().zip(&batched) {
                 assert_eq!((ones, n), est.count(&db, q).unwrap());
             }
+        }
+        // The single-term scans themselves against the scalar oracle.
+        for q in mixed.iter().step_by(7) {
+            let (ones, n) = est.count(&db, q).unwrap();
+            let scalar = est.estimate_scalar(&db, q).unwrap();
+            assert_eq!(
+                Estimate::from_counts(ones, n, p).raw.to_bits(),
+                scalar.raw.to_bits()
+            );
         }
         // Unknown subsets: strict errors, partial reports empty shares.
         let unknown =
@@ -849,6 +796,33 @@ mod tests {
             Err(Error::UnknownSubset { .. })
         ));
         assert_eq!(est.count_terms_partial(&db, &[unknown]), vec![(0, 0)]);
+    }
+
+    #[test]
+    fn scans_record_under_lane_and_thread_labels() {
+        let p = 0.3;
+        let (db, subset) = build_db(p, 2, 500, 0.5);
+        let est = ConjunctiveEstimator::new(params(p));
+        let q = ConjunctiveQuery::new(subset, BitString::from_bits(&[true; 2])).unwrap();
+        let lanes = psketch_prf::lane_width().to_string();
+        let id = obs::MetricId::new(
+            "psketch_scans_total",
+            &[("lanes", &lanes), ("threads", "1")],
+        );
+        let scans = || {
+            obs::snapshot()
+                .counters
+                .into_iter()
+                .find(|(metric, _)| *metric == id)
+                .map_or(0, |(_, n)| n)
+        };
+        let before = scans();
+        est.estimate(&db, &q).unwrap();
+        est.estimate(&db, &q).unwrap();
+        assert!(
+            scans() >= before + 2,
+            "both scans land on the cached handle"
+        );
     }
 
     #[test]

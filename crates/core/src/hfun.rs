@@ -9,6 +9,7 @@
 use crate::params::SketchParams;
 use crate::profile::{BitString, BitSubset, UserId};
 use psketch_prf::{AnyPrf, Bias, InputEncoder, Prf, PrfPrefix};
+use std::borrow::Borrow;
 
 /// Domain-separation tag for `H` inputs (any other PRF use in the
 /// workspace must pick a different tag).
@@ -196,53 +197,64 @@ impl PreparedH {
         self.base.eval_biased(&self.suffix, self.bias)
     }
 
-    /// Batched Algorithm 2 inner loop: counts records with
-    /// `H(id, B, v, s) = 1` over aligned id/key columns, for the value
-    /// currently spliced into the template. Per record this absorbs just
-    /// the 16-byte `(id, key)` pair and the short value tail on top of
-    /// the precomputed prefix state.
+    /// Batched Algorithm 2 inner loop: for each value `v` in `values`,
+    /// counts records with `H(id, B, v, s) = 1` over aligned id/key
+    /// columns, in one pass. Per record block the 16-byte `(id, key)`
+    /// pair is absorbed once on top of the precomputed prefix state, and
+    /// each value adds only its short tail `bit-count ‖ v`. A single
+    /// value is the one-term scan.
+    ///
+    /// With `threads > 1` the records are split into that many chunks,
+    /// each scanned by a scoped worker; the per-worker counts are exact
+    /// integers, so their sum equals the sequential count. The value
+    /// tails and every worker's counts are allocated here, on the calling
+    /// thread — the workers only scan.
     ///
     /// # Panics
     ///
-    /// Panics if the columns have different lengths.
+    /// Panics if the columns have different lengths or a value's width
+    /// differs from the prepared width.
     #[must_use]
-    pub fn count_ones(&self, ids: &[u64], keys: &[u64]) -> usize {
-        self.base
-            .count_biased_columns(ids, keys, &self.suffix[16..], self.bias)
-    }
-
-    /// Batched distribution inner loop: for one record, tallies
-    /// `H(id, B, v, s)` into `ones[v]` for every value
-    /// `v ∈ [0, ones.len())`. The record's state (prefix + id + key) is
-    /// absorbed once and reused across all values.
-    pub fn tally_record(&mut self, id: u64, key: u64, ones: &mut [usize]) {
-        self.set_record(id, key);
-        let record_state = self.base.advanced_u64x2(id, key);
-        let tail_bytes = 4 + self.value_bytes;
-        if record_state.supports_short_tail(tail_bytes) && self.width <= 24 {
-            // Register-only per value: the tail is the 4-byte bit count
-            // followed by the value's little-endian bytes.
-            let width_block = self.width as u64;
-            record_state.eval_biased_short_tails(
-                ones.len(),
-                self.bias,
-                tail_bytes as u32,
-                |v| width_block | ((v as u64) << 32),
-                |v, bit| ones[v] += usize::from(bit),
-            );
-        } else {
-            let value_bytes = self.value_bytes;
-            record_state.eval_biased_suffixes(
-                ones.len(),
-                self.bias,
-                &mut self.suffix[16..],
-                |v, tail| {
-                    tail[4..4 + value_bytes]
-                        .copy_from_slice(&(v as u64).to_le_bytes()[..value_bytes]);
-                },
-                |v, bit| ones[v] += usize::from(bit),
-            );
+    pub fn count_ones<V: Borrow<BitString>>(
+        &self,
+        ids: &[u64],
+        keys: &[u64],
+        values: &[V],
+        threads: usize,
+    ) -> Vec<usize> {
+        let tails: Vec<Vec<u8>> = values
+            .iter()
+            .map(|value| {
+                let mut prepared = self.clone();
+                prepared.set_value(value.borrow());
+                prepared.suffix.split_off(SUFFIX_KEY_AT + 8)
+            })
+            .collect();
+        let mut ones = vec![0usize; values.len()];
+        if threads <= 1 {
+            self.base
+                .count_biased_columns(ids, keys, &tails, self.bias, &mut ones);
+            return ones;
         }
+        let chunk = ids.len().div_ceil(threads).max(1);
+        let mut partials = vec![vec![0usize; values.len()]; ids.len().div_ceil(chunk)];
+        std::thread::scope(|scope| {
+            for ((ids, keys), partial) in
+                ids.chunks(chunk).zip(keys.chunks(chunk)).zip(&mut partials)
+            {
+                let tails = &tails;
+                scope.spawn(move || {
+                    self.base
+                        .count_biased_columns(ids, keys, tails, self.bias, partial);
+                });
+            }
+        });
+        for partial in partials {
+            for (total, part) in ones.iter_mut().zip(partial) {
+                *total += part;
+            }
+        }
+        ones
     }
 }
 
@@ -333,37 +345,47 @@ mod tests {
 
     #[test]
     fn count_ones_matches_scalar_count() {
-        let f = h();
-        let b = BitSubset::new(vec![1, 3]).unwrap();
-        let v = BitString::from_bits(&[true, false]);
-        let ids: Vec<u64> = (0..500).collect();
-        let keys: Vec<u64> = (0..500).map(|i| (i * 7) % 1024).collect();
-        let prepared = f.prepare_query(&b, &v);
-        let batched = prepared.count_ones(&ids, &keys);
-        let scalar = ids
-            .iter()
-            .zip(&keys)
-            .filter(|&(&id, &key)| f.eval(UserId(id), &b, &v, key))
-            .count();
-        assert_eq!(batched, scalar);
+        for kind in [PrfKind::Sip, PrfKind::ChaCha] {
+            let params = SketchParams::new(0.3, 10, GlobalKey::from_seed(7), kind).unwrap();
+            let f = HFunction::new(&params);
+            let b = BitSubset::new(vec![1, 3]).unwrap();
+            let v = BitString::from_bits(&[true, false]);
+            let ids: Vec<u64> = (0..500).collect();
+            let keys: Vec<u64> = (0..500).map(|i| (i * 7) % 1024).collect();
+            let batched = f.prepare(&b, 2).count_ones(&ids, &keys, &[&v], 1);
+            let scalar = ids
+                .iter()
+                .zip(&keys)
+                .filter(|&(&id, &key)| f.eval(UserId(id), &b, &v, key))
+                .count();
+            assert_eq!(batched, vec![scalar], "{kind:?}");
+        }
     }
 
     #[test]
-    fn tally_record_matches_per_value_evals() {
+    fn count_ones_over_values_matches_per_value_evals() {
+        // Every value of a subset in one call — narrow values (one-block
+        // lane tails) and values past 24 bits (the general per-tail loop)
+        // — equals per-record scalar evaluation.
         let f = h();
-        let b = BitSubset::new(vec![0, 1, 4]).unwrap();
-        let mut prepared = f.prepare(&b, 3);
-        let mut ones = vec![0usize; 8];
-        for (id, key) in [(3u64, 5u64), (8, 0), (100, 1023)] {
-            prepared.tally_record(id, key, &mut ones);
-        }
-        for value in 0..8u64 {
-            let v = BitString::from_u64(value, 3);
-            let expected = [(3u64, 5u64), (8, 0), (100, 1023)]
-                .iter()
-                .filter(|&&(id, key)| f.eval(UserId(id), &b, &v, key))
-                .count();
-            assert_eq!(ones[value as usize], expected, "value {value}");
+        let records: Vec<(u64, u64)> = (0..29u64).map(|i| (i * 11 + 3, (i * 37) % 1024)).collect();
+        let (ids, keys): (Vec<u64>, Vec<u64>) = records.iter().copied().unzip();
+        for width in [3u32, 26] {
+            let b = BitSubset::range(0, width);
+            let values: Vec<BitString> = (0..9u64)
+                .map(|v| BitString::from_u64(v * 0x2_0001 % (1 << width), width as usize))
+                .collect();
+            let prepared = f.prepare(&b, width as usize);
+            let ones = prepared.count_ones(&ids, &keys, &values, 1);
+            // Split across workers (chunks with lane remainders): same counts.
+            assert_eq!(prepared.count_ones(&ids, &keys, &values, 3), ones);
+            for (v, &count) in values.iter().zip(&ones) {
+                let expected = records
+                    .iter()
+                    .filter(|&&(id, key)| f.eval(UserId(id), &b, v, key))
+                    .count();
+                assert_eq!(count, expected, "width {width}, value {v:?}");
+            }
         }
     }
 

@@ -188,23 +188,27 @@ impl<const LANES: usize> SipStateXN<LANES> {
         out
     }
 
-    /// Lane-parallel mirror of
-    /// [`SipState::finish_u64x2_then`](crate::siphash::SipState::finish_u64x2_then):
-    /// per lane `i`, absorbs `a[i]` and `b[i]` (the per-record id/key
-    /// pair) plus the shared precomputed final block, and finalizes.
-    /// `self` is unchanged (copy semantics), so one broadcast prefix
-    /// state serves the whole scan.
+    /// Per lane `i`, absorbs the per-record `(id, key)` pair `a[i]`,
+    /// `b[i]` on top of a copy of `self` — the value-independent part of
+    /// a scan, paid once per record block however many values follow.
     #[inline(always)]
     #[must_use]
-    pub fn finish_u64x2_then(
-        &self,
-        a: &[u64; LANES],
-        b: &[u64; LANES],
-        packed_tail: u64,
-    ) -> [u64; LANES] {
+    pub fn absorb_u64x2(&self, a: &[u64; LANES], b: &[u64; LANES]) -> Self {
         let mut s = *self;
         s.compress(a);
         s.compress(b);
+        s
+    }
+
+    /// Lane-parallel mirror of
+    /// [`SipState::finish_then`](crate::siphash::SipState::finish_then)
+    /// with one shared precomputed final block: absorbs `packed_tail`
+    /// into every lane of a copy of `self` and finalizes. `self` is
+    /// unchanged, so one absorbed record block serves every value tail.
+    #[inline(always)]
+    #[must_use]
+    pub fn finish_splat(&self, packed_tail: u64) -> [u64; LANES] {
+        let mut s = *self;
         s.compress_splat(packed_tail);
         s.finalize_rounds()
     }
@@ -313,305 +317,186 @@ fn avx512_available() -> bool {
     std::arch::is_x86_feature_detected!("avx512f")
 }
 
-/// Counts biased-1 outcomes over `(id, key)` column pairs under a shared
-/// block-aligned prefix state and a shared precomputed final block — the
-/// Algorithm 2 inner loop, dispatched by lane width.
-pub(crate) fn count_columns(
+/// Most tails [`count_tails`] takes per call: the widest chunk the lane
+/// kernel keeps in registers (callers pack this many final blocks on the
+/// stack).
+pub(crate) const MAX_TAILS: usize = 16;
+
+/// Counts biased-1 outcomes per value tail over `(id, key)` column pairs
+/// under a shared block-aligned prefix state — the Algorithm 2 inner loop
+/// for every value queried on one subset, dispatched by lane width.
+///
+/// `ones[t]` is increased by the count of records whose evaluation on
+/// `prefix ‖ id ‖ key ‖ tail t` decides 1, where `packed_tails[t]` is
+/// tail `t`'s precomputed final block
+/// ([`SipState::pack_short_tail`] with `extra = 16`). Only that last
+/// block depends on the value, so each `LANES`-record block compresses
+/// its ids and keys once and every tail costs one compression plus the
+/// finalization on a copy of that state: lanes run across records, full
+/// at any number of tails. Allocation-free.
+pub(crate) fn count_tails(
     state: &SipState,
     ids: &[u64],
     keys: &[u64],
-    packed_tail: u64,
+    packed_tails: &[u64],
     bias: Bias,
     width: usize,
-) -> usize {
+    ones: &mut [usize],
+) {
+    debug_assert!(packed_tails.len() <= MAX_TAILS && ones.len() == packed_tails.len());
     match width {
         8 => {
             #[cfg(target_arch = "x86_64")]
             if avx512_available() {
-                // SAFETY: `count_columns_x8_avx512` requires AVX-512F,
+                // SAFETY: `count_tails_x8_avx512` requires AVX-512F,
                 // which the branch above just detected at runtime.
                 #[allow(unsafe_code)]
-                return unsafe { count_columns_x8_avx512(state, ids, keys, packed_tail, bias) };
+                unsafe {
+                    count_tails_x8_avx512(state, ids, keys, packed_tails, bias, ones);
+                }
+                return;
             }
-            count_columns_lanes::<8>(state, ids, keys, packed_tail, bias)
+            count_tails_lanes::<8>(state, ids, keys, packed_tails, bias, ones);
         }
-        4 => count_columns_lanes::<4>(state, ids, keys, packed_tail, bias),
-        _ => count_columns_scalar(state, ids, keys, packed_tail, bias),
+        4 => count_tails_lanes::<4>(state, ids, keys, packed_tails, bias, ones),
+        _ => count_tails_scalar(state, ids, keys, packed_tails, bias, ones),
     }
 }
 
-/// The scalar reference loop: four independent streams interleaved by
-/// hand so the CPU overlaps their round chains (SipHash is latency-bound
-/// on a single stream). This is the `width = 1` path and the remainder
-/// loop's big brother; it was the pre-lane production code.
-fn count_columns_scalar(
+/// The scalar reference loop (the `width = 1` path): four records are
+/// absorbed side by side so the CPU overlaps their independent round
+/// chains (SipHash is latency-bound on a single stream).
+fn count_tails_scalar(
     state: &SipState,
     ids: &[u64],
     keys: &[u64],
-    packed_tail: u64,
+    packed_tails: &[u64],
     bias: Bias,
-) -> usize {
-    let mut ones = 0usize;
+    ones: &mut [usize],
+) {
     let mut id4 = ids.chunks_exact(4);
     let mut key4 = keys.chunks_exact(4);
     for (id, key) in (&mut id4).zip(&mut key4) {
-        let r0 = state.finish_u64x2_then(id[0], key[0], packed_tail);
-        let r1 = state.finish_u64x2_then(id[1], key[1], packed_tail);
-        let r2 = state.finish_u64x2_then(id[2], key[2], packed_tail);
-        let r3 = state.finish_u64x2_then(id[3], key[3], packed_tail);
-        ones += usize::from(bias.decide(r0))
-            + usize::from(bias.decide(r1))
-            + usize::from(bias.decide(r2))
-            + usize::from(bias.decide(r3));
+        let r0 = state.absorbed_u64x2(id[0], key[0]);
+        let r1 = state.absorbed_u64x2(id[1], key[1]);
+        let r2 = state.absorbed_u64x2(id[2], key[2]);
+        let r3 = state.absorbed_u64x2(id[3], key[3]);
+        for (count, &tail) in ones.iter_mut().zip(packed_tails) {
+            *count += usize::from(bias.decide(r0.finish_then(tail)))
+                + usize::from(bias.decide(r1.finish_then(tail)))
+                + usize::from(bias.decide(r2.finish_then(tail)))
+                + usize::from(bias.decide(r3.finish_then(tail)));
+        }
     }
-    for (&id, &key) in id4.remainder().iter().zip(key4.remainder()) {
-        ones += usize::from(bias.decide(state.finish_u64x2_then(id, key, packed_tail)));
-    }
-    ones
+    count_tails_remainder(
+        state,
+        id4.remainder(),
+        key4.remainder(),
+        packed_tails,
+        bias,
+        ones,
+    );
 }
 
-/// The generic N-lane column counter; the scalar loop handles the
-/// `n % LANES` remainder so every batch size is covered.
-#[inline(always)]
-fn count_columns_lanes<const LANES: usize>(
+/// One record at a time: the tail loop of every width.
+fn count_tails_remainder(
     state: &SipState,
     ids: &[u64],
     keys: &[u64],
-    packed_tail: u64,
+    packed_tails: &[u64],
     bias: Bias,
-) -> usize {
+    ones: &mut [usize],
+) {
+    for (&id, &key) in ids.iter().zip(keys) {
+        let record = state.absorbed_u64x2(id, key);
+        for (count, &tail) in ones.iter_mut().zip(packed_tails) {
+            *count += usize::from(bias.decide(record.finish_then(tail)));
+        }
+    }
+}
+
+/// The generic N-lane kernel. The tails go in one chunk each of 16, 8,
+/// 4, 2 and 1 as their count requires: every chunk size is its own
+/// monomorphization of [`count_tails_chunk`], whose fixed-size tail loop
+/// unrolls and keeps the chunk's counts in registers — so one tail
+/// compiles to the plain one-term scan, and wide groups re-absorb a
+/// record block's `(id, key)` once per 16 tails.
+#[inline(always)]
+fn count_tails_lanes<const LANES: usize>(
+    state: &SipState,
+    ids: &[u64],
+    keys: &[u64],
+    packed_tails: &[u64],
+    bias: Bias,
+    ones: &mut [usize],
+) {
+    let mut start = 0;
+    while start < packed_tails.len() {
+        let take = 1 << (packed_tails.len() - start).min(MAX_TAILS).ilog2();
+        let tails = &packed_tails[start..start + take];
+        let counts = &mut ones[start..start + take];
+        match take {
+            16 => count_tails_chunk::<LANES, 16>(state, ids, keys, tails, bias, counts),
+            8 => count_tails_chunk::<LANES, 8>(state, ids, keys, tails, bias, counts),
+            4 => count_tails_chunk::<LANES, 4>(state, ids, keys, tails, bias, counts),
+            2 => count_tails_chunk::<LANES, 2>(state, ids, keys, tails, bias, counts),
+            _ => count_tails_chunk::<LANES, 1>(state, ids, keys, tails, bias, counts),
+        }
+        start += take;
+    }
+}
+
+/// One pass over the columns for a chunk of exactly `C` tails; the
+/// remainder loop covers the `n % LANES` records left over, so every
+/// batch size is handled.
+// The indexed tail loop matters: it unrolls before vectorization, while
+// an iterator zip over the counts left lane shuffles in the one-tail
+// loop (measured ~7% slower than the plain one-term scan).
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+fn count_tails_chunk<const LANES: usize, const C: usize>(
+    state: &SipState,
+    ids: &[u64],
+    keys: &[u64],
+    packed_tails: &[u64],
+    bias: Bias,
+    ones: &mut [usize],
+) {
+    let tails: [u64; C] = packed_tails.try_into().expect("a chunk holds C tails");
     let xs = SipStateXN::<LANES>::splat(state);
-    let mut ones = 0usize;
+    let mut counts = [0usize; C];
     let mut idc = ids.chunks_exact(LANES);
     let mut keyc = keys.chunks_exact(LANES);
     for (id, key) in (&mut idc).zip(&mut keyc) {
         let id: &[u64; LANES] = id.try_into().expect("chunks_exact yields LANES");
         let key: &[u64; LANES] = key.try_into().expect("chunks_exact yields LANES");
-        let tags = xs.finish_u64x2_then(id, key, packed_tail);
-        for tag in tags {
-            ones += usize::from(bias.decide(tag));
+        let records = xs.absorb_u64x2(id, key);
+        for t in 0..C {
+            for tag in records.finish_splat(tails[t]) {
+                counts[t] += usize::from(bias.decide(tag));
+            }
         }
     }
-    for (&id, &key) in idc.remainder().iter().zip(keyc.remainder()) {
-        ones += usize::from(bias.decide(state.finish_u64x2_then(id, key, packed_tail)));
+    for (total, count) in ones.iter_mut().zip(counts) {
+        *total += count;
     }
-    ones
+    count_tails_remainder(state, idc.remainder(), keyc.remainder(), &tails, bias, ones);
 }
 
 /// The AVX-512 monomorphization: same code as
-/// [`count_columns_lanes`]`::<8>`, compiled with zmm registers and
+/// [`count_tails_lanes`]`::<8>`, compiled with zmm registers and
 /// `vprolq` available so the elementwise lane loops vectorize 8-wide.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn count_columns_x8_avx512(
+fn count_tails_x8_avx512(
     state: &SipState,
     ids: &[u64],
     keys: &[u64],
-    packed_tail: u64,
+    packed_tails: &[u64],
     bias: Bias,
-) -> usize {
-    count_columns_lanes::<8>(state, ids, keys, packed_tail, bias)
-}
-
-/// Tallies the biased bit for every enumerated short tail (the
-/// distribution inner loop: one record state, `2^k` value tails),
-/// dispatched by lane width. `make_tail(i)` returns the value bytes of
-/// tail `i`; the shared `len_block` carries the final block's length
-/// byte. `sink` observes outcomes in ascending `i` order.
-pub(crate) fn tally_short_tails<F, G>(
-    state: &SipState,
-    n: usize,
-    bias: Bias,
-    len_block: u64,
-    make_tail: F,
-    sink: G,
-    width: usize,
-) where
-    F: Fn(usize) -> u64,
-    G: FnMut(usize, bool),
-{
-    match width {
-        8 => {
-            #[cfg(target_arch = "x86_64")]
-            if avx512_available() {
-                // SAFETY: requires AVX-512F, detected just above.
-                #[allow(unsafe_code)]
-                return unsafe {
-                    tally_short_tails_x8_avx512(state, n, bias, len_block, make_tail, sink)
-                };
-            }
-            tally_short_tails_lanes::<8, F, G>(state, n, bias, len_block, make_tail, sink);
-        }
-        4 => tally_short_tails_lanes::<4, F, G>(state, n, bias, len_block, make_tail, sink),
-        _ => {
-            let mut sink = sink;
-            for i in 0..n {
-                let last = len_block | make_tail(i);
-                sink(i, bias.decide(state.finish_then(last)));
-            }
-        }
-    }
-}
-
-/// The generic N-lane short-tail tally with a scalar remainder loop.
-#[inline(always)]
-fn tally_short_tails_lanes<const LANES: usize, F, G>(
-    state: &SipState,
-    n: usize,
-    bias: Bias,
-    len_block: u64,
-    make_tail: F,
-    mut sink: G,
-) where
-    F: Fn(usize) -> u64,
-    G: FnMut(usize, bool),
-{
-    let xs = SipStateXN::<LANES>::splat(state);
-    let full = n - n % LANES;
-    let mut base = 0usize;
-    while base < full {
-        let mut tails = [0u64; LANES];
-        for (lane, tail) in tails.iter_mut().enumerate() {
-            *tail = len_block | make_tail(base + lane);
-        }
-        let tags = xs.finish_then(&tails);
-        for (lane, tag) in tags.into_iter().enumerate() {
-            sink(base + lane, bias.decide(tag));
-        }
-        base += LANES;
-    }
-    for i in full..n {
-        let last = len_block | make_tail(i);
-        sink(i, bias.decide(state.finish_then(last)));
-    }
-}
-
-/// AVX-512 monomorphization of the 8-lane short-tail tally.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn tally_short_tails_x8_avx512<F, G>(
-    state: &SipState,
-    n: usize,
-    bias: Bias,
-    len_block: u64,
-    make_tail: F,
-    sink: G,
-) where
-    F: Fn(usize) -> u64,
-    G: FnMut(usize, bool),
-{
-    tally_short_tails_lanes::<8, F, G>(state, n, bias, len_block, make_tail, sink);
-}
-
-/// Evaluates the biased bit for `n` short (< 8 byte) suffixes assembled
-/// one at a time in a shared scratch buffer, dispatched by lane width.
-/// Each filled suffix packs into a single final block (`len_block`
-/// carries the shared length byte), so lanes finish LANES items per
-/// round sequence. `sink` observes outcomes in ascending order.
-pub(crate) fn eval_short_suffixes<F, G>(
-    state: &SipState,
-    n: usize,
-    bias: Bias,
-    suffix: &mut [u8],
-    fill: F,
-    sink: G,
-    width: usize,
-) where
-    F: FnMut(usize, &mut [u8]),
-    G: FnMut(usize, bool),
-{
-    debug_assert!(suffix.len() < 8, "short suffixes fit one final block");
-    let zeros = [0u8; 8];
-    let len_block = state.pack_short_tail(0, &zeros[..suffix.len()]);
-    match width {
-        8 => {
-            #[cfg(target_arch = "x86_64")]
-            if avx512_available() {
-                // SAFETY: requires AVX-512F, detected just above.
-                #[allow(unsafe_code)]
-                return unsafe {
-                    eval_short_suffixes_x8_avx512(state, n, bias, suffix, len_block, fill, sink)
-                };
-            }
-            eval_short_suffixes_lanes::<8, F, G>(state, n, bias, suffix, len_block, fill, sink);
-        }
-        4 => eval_short_suffixes_lanes::<4, F, G>(state, n, bias, suffix, len_block, fill, sink),
-        _ => {
-            let mut fill = fill;
-            let mut sink = sink;
-            for i in 0..n {
-                fill(i, suffix);
-                let last = len_block | pack_bytes(suffix);
-                sink(i, bias.decide(state.finish_then(last)));
-            }
-        }
-    }
-}
-
-/// The generic N-lane short-suffix evaluator with a scalar remainder.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn eval_short_suffixes_lanes<const LANES: usize, F, G>(
-    state: &SipState,
-    n: usize,
-    bias: Bias,
-    suffix: &mut [u8],
-    len_block: u64,
-    mut fill: F,
-    mut sink: G,
-) where
-    F: FnMut(usize, &mut [u8]),
-    G: FnMut(usize, bool),
-{
-    let xs = SipStateXN::<LANES>::splat(state);
-    let full = n - n % LANES;
-    let mut base = 0usize;
-    while base < full {
-        let mut tails = [0u64; LANES];
-        for (lane, tail) in tails.iter_mut().enumerate() {
-            fill(base + lane, suffix);
-            *tail = len_block | pack_bytes(suffix);
-        }
-        let tags = xs.finish_then(&tails);
-        for (lane, tag) in tags.into_iter().enumerate() {
-            sink(base + lane, bias.decide(tag));
-        }
-        base += LANES;
-    }
-    for i in full..n {
-        fill(i, suffix);
-        let last = len_block | pack_bytes(suffix);
-        sink(i, bias.decide(state.finish_then(last)));
-    }
-}
-
-/// AVX-512 monomorphization of the 8-lane short-suffix evaluator.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-fn eval_short_suffixes_x8_avx512<F, G>(
-    state: &SipState,
-    n: usize,
-    bias: Bias,
-    suffix: &mut [u8],
-    len_block: u64,
-    fill: F,
-    sink: G,
-) where
-    F: FnMut(usize, &mut [u8]),
-    G: FnMut(usize, bool),
-{
-    eval_short_suffixes_lanes::<8, F, G>(state, n, bias, suffix, len_block, fill, sink);
-}
-
-/// Packs up to 7 bytes LSB-first into the data region of a final block.
-#[inline(always)]
-fn pack_bytes(bytes: &[u8]) -> u64 {
-    let mut packed = 0u64;
-    for (i, &b) in bytes.iter().enumerate() {
-        packed |= u64::from(b) << (8 * i);
-    }
-    packed
+    ones: &mut [usize],
+) {
+    count_tails_lanes::<8>(state, ids, keys, packed_tails, bias, ones);
 }
 
 #[cfg(test)]
@@ -651,7 +536,11 @@ mod tests {
     /// Packs `msg` (≤ 7 bytes) plus the length byte for a message of
     /// `total` bytes into a SipHash final block.
     fn final_block(msg: &[u8], total: u64) -> u64 {
-        pack_bytes(msg) | (total << 56)
+        let data = msg
+            .iter()
+            .enumerate()
+            .fold(0u64, |acc, (i, &b)| acc | u64::from(b) << (8 * i));
+        data | (total << 56)
     }
 
     #[test]
@@ -695,7 +584,9 @@ mod tests {
         let packed_tail = state.pack_short_tail(16, b"xyz");
         let ids: [u64; 8] = core::array::from_fn(|i| (i as u64) * 77 + 1);
         let keys: [u64; 8] = core::array::from_fn(|i| (i as u64) ^ 0xABCD);
-        let lanes = SipStateXN::<8>::splat(&state).finish_u64x2_then(&ids, &keys, packed_tail);
+        let lanes = SipStateXN::<8>::splat(&state)
+            .absorb_u64x2(&ids, &keys)
+            .finish_splat(packed_tail);
         for i in 0..8 {
             assert_eq!(
                 lanes[i],
@@ -731,7 +622,8 @@ mod tests {
         assert!(SUPPORTED_LANE_WIDTHS.contains(&probe_lane_width()));
     }
 
-    /// The scalar oracle for `count_columns`: one full state per record.
+    /// The scalar oracle for `count_tails`: one full state per record
+    /// and tail.
     fn count_oracle(state: &SipState, ids: &[u64], keys: &[u64], tail: &[u8], bias: Bias) -> usize {
         ids.iter()
             .zip(keys)
@@ -743,10 +635,57 @@ mod tests {
             .count()
     }
 
+    /// Deterministic test columns of `n` records.
+    fn columns(seed: u64, n: usize) -> (Vec<u64>, Vec<u64>) {
+        let ids = (0..n as u64).map(|i| seed.wrapping_add(i * 31)).collect();
+        let keys = (0..n as u64).map(|i| seed.rotate_left(i as u32)).collect();
+        (ids, keys)
+    }
+
+    /// `count` deterministic tails of `tail_len` bytes.
+    fn tails(seed: u64, count: usize, tail_len: usize) -> Vec<Vec<u8>> {
+        (0..count as u64)
+            .map(|t| {
+                (0..tail_len)
+                    .map(|j| (seed.wrapping_mul(t + 1) >> (j * 5)) as u8)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Runs `count_tails` at every supported width and checks each
+    /// tail's count against the scalar oracle.
+    fn assert_kernel_matches_oracle(
+        state: &SipState,
+        ids: &[u64],
+        keys: &[u64],
+        tails: &[Vec<u8>],
+        bias: Bias,
+    ) {
+        let expected: Vec<usize> = tails
+            .iter()
+            .map(|tail| count_oracle(state, ids, keys, tail, bias))
+            .collect();
+        let packed: Vec<u64> = tails.iter().map(|t| state.pack_short_tail(16, t)).collect();
+        for &width in SUPPORTED_LANE_WIDTHS {
+            let mut got = vec![0usize; tails.len()];
+            for (packed, got) in packed.chunks(MAX_TAILS).zip(got.chunks_mut(MAX_TAILS)) {
+                count_tails(state, ids, keys, packed, bias, width, got);
+            }
+            assert_eq!(
+                got,
+                expected,
+                "width {width} diverged (n = {}, tails = {})",
+                ids.len(),
+                tails.len()
+            );
+        }
+    }
+
     proptest! {
         /// Every supported lane width × unaligned batch remainders ×
-        /// short-tail shapes: the dispatched column counter equals the
-        /// scalar absorb/finish oracle exactly.
+        /// short-tail shapes × prefix lengths: the one-tail kernel (the
+        /// single-term scan) equals the scalar absorb/finish oracle.
         #[test]
         fn lane_eval_bit_identical_to_scalar(
             k0 in any::<u64>(),
@@ -763,61 +702,42 @@ mod tests {
                 .map(|i| (seed.wrapping_mul(i as u64 + 1) >> 11) as u8)
                 .collect();
             state.absorb(&prefix);
-            let tail: Vec<u8> = (0..tail_len).map(|i| (seed >> (i * 7)) as u8).collect();
             let bias = Bias::from_prob(p_milli as f64 / 1000.0);
-            let ids: Vec<u64> = (0..n as u64).map(|i| seed.wrapping_add(i * 31)).collect();
-            let keys: Vec<u64> = (0..n as u64).map(|i| seed.rotate_left(i as u32)).collect();
-            let expected = count_oracle(&state, &ids, &keys, &tail, bias);
-            let packed_tail = state.pack_short_tail(16, &tail);
-            for &width in SUPPORTED_LANE_WIDTHS {
-                prop_assert_eq!(
-                    count_columns(&state, &ids, &keys, packed_tail, bias, width),
-                    expected,
-                    "width {} diverged (n = {}, tail = {})", width, n, tail_len
-                );
-            }
+            let (ids, keys) = columns(seed, n);
+            assert_kernel_matches_oracle(&state, &ids, &keys, &tails(seed, 1, tail_len), bias);
         }
 
-        /// The short-tail tally (distribution inner loop) is
-        /// bit-identical across widths, including remainder-sized value
-        /// spaces.
+        /// Many tails of one length per scan (a dense value group: the
+        /// `bit-count ‖ value` tails of a distribution query), across
+        /// every lane remainder: each tail's count equals the oracle.
         #[test]
         fn short_tail_tally_bit_identical_to_scalar(
             k0 in any::<u64>(),
             k1 in any::<u64>(),
             n in 0usize..40,
-            tail_bytes in 1u64..8,
+            tail_count in 1usize..=40,
+            tail_len in 0usize..8,
+            seed in any::<u64>(),
             p_milli in 1u64..999,
         ) {
             let sip = SipHash24::new(k0, k1);
             let mut state = sip.begin();
             state.absorb(&[7u8; 16]);
             let bias = Bias::from_prob(p_milli as f64 / 1000.0);
-            let len_block = state.pack_short_tail(0, &vec![0u8; tail_bytes as usize]);
-            let make_tail = |i: usize| (i as u64) & ((1u64 << (8 * tail_bytes.min(7))) - 1);
-            let mut expected = vec![false; n];
-            for (i, slot) in expected.iter_mut().enumerate() {
-                *slot = bias.decide(state.finish_then(len_block | make_tail(i)));
-            }
-            for &width in SUPPORTED_LANE_WIDTHS {
-                let mut got = vec![false; n];
-                tally_short_tails(
-                    &state, n, bias, len_block, make_tail,
-                    |i, bit| got[i] = bit,
-                    width,
-                );
-                prop_assert_eq!(&got, &expected, "width {} diverged", width);
-            }
+            let (ids, keys) = columns(seed, n);
+            let tails = tails(seed, tail_count, tail_len);
+            assert_kernel_matches_oracle(&state, &ids, &keys, &tails, bias);
         }
 
-        /// The short-suffix evaluator (scratch-buffer batch path) is
-        /// bit-identical across widths and suffix lengths.
+        /// Tails of *different* lengths in one scan (each packs its own
+        /// length byte), over every lane remainder: per-tail counts equal
+        /// the oracle.
         #[test]
         fn short_suffix_eval_bit_identical_to_scalar(
             k0 in any::<u64>(),
             k1 in any::<u64>(),
             n in 0usize..40,
-            suffix_len in 0usize..8,
+            tail_count in 1usize..=40,
             seed in any::<u64>(),
             p_milli in 1u64..999,
         ) {
@@ -825,29 +745,11 @@ mod tests {
             let mut state = sip.begin();
             state.absorb(&[3u8; 8]);
             let bias = Bias::from_prob(p_milli as f64 / 1000.0);
-            let fill = |i: usize, buf: &mut [u8]| {
-                for (j, b) in buf.iter_mut().enumerate() {
-                    *b = (seed.wrapping_mul(i as u64 + 1) >> (j * 5)) as u8;
-                }
-            };
-            let mut expected = vec![false; n];
-            let mut buf = vec![0u8; suffix_len];
-            for (i, slot) in expected.iter_mut().enumerate() {
-                fill(i, &mut buf);
-                let mut s = state;
-                s.absorb(&buf);
-                *slot = bias.decide(s.finish());
-            }
-            for &width in SUPPORTED_LANE_WIDTHS {
-                let mut got = vec![false; n];
-                let mut buf = vec![0u8; suffix_len];
-                eval_short_suffixes(
-                    &state, n, bias, &mut buf, fill,
-                    |i, bit| got[i] = bit,
-                    width,
-                );
-                prop_assert_eq!(&got, &expected, "width {} diverged", width);
-            }
+            let (ids, keys) = columns(seed, n);
+            let tails: Vec<Vec<u8>> = (0..tail_count)
+                .map(|t| tails(seed ^ t as u64, 1, (seed as usize + t) % 8).remove(0))
+                .collect();
+            assert_kernel_matches_oracle(&state, &ids, &keys, &tails, bias);
         }
     }
 }

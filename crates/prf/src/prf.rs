@@ -304,23 +304,6 @@ impl PrfPrefix {
         next
     }
 
-    /// As [`PrfPrefix::advanced`] with two fixed-width u64 fields — the
-    /// per-record `(id, key)` pair, absorbed without touching memory.
-    #[must_use]
-    pub fn advanced_u64x2(&self, a: u64, b: u64) -> Self {
-        let mut next = *self;
-        match &mut next {
-            Self::Sip(state) => {
-                state.absorb_u64(a).absorb_u64(b);
-            }
-            Self::ChaCha { lo, hi, .. } => {
-                lo.absorb_u64(a).absorb_u64(b);
-                hi.absorb_u64(a).absorb_u64(b);
-            }
-        }
-        next
-    }
-
     /// Evaluates the PRF on `prefix ‖ suffix`.
     #[inline]
     #[must_use]
@@ -349,100 +332,64 @@ impl PrfPrefix {
         bias.decide(self.eval_u64(suffix))
     }
 
-    /// Batch entry point over per-item suffixes assembled in a shared
-    /// scratch buffer: `fill(i, buf)` writes item `i`'s suffix fields in
-    /// place, `sink(i, bit)` receives the biased outcome. The family
-    /// dispatch is hoisted out of the loop.
-    pub fn eval_biased_suffixes<F, G>(
+    /// Counts biased-1 outcomes over `(id, key)` column pairs once per
+    /// tail (each tail an encoded query value): the Algorithm 2 inner
+    /// loop for every value queried on one subset. `ones[t]` is
+    /// increased by the number of pairs whose
+    /// `prefix ‖ id_i ‖ key_i ‖ tails[t]` decides 1; a single tail is the
+    /// one-term scan. Allocation-free, so scan workers share one set of
+    /// tails and write into counts their caller owns.
+    ///
+    /// On the SipHash family with a block-aligned prefix and tails under
+    /// 8 bytes, one lane kernel at the process-wide
+    /// [`lane_width`](crate::lanes::lane_width) reads the columns once
+    /// per 16 tails: the `(id, key)` blocks are compressed once per
+    /// record block and each tail costs one final block. The ChaCha
+    /// family and longer tails run the general loop per tail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the columns have different lengths, or `ones` and
+    /// `tails` do.
+    pub fn count_biased_columns<T: AsRef<[u8]>>(
         &self,
-        n: usize,
+        ids: &[u64],
+        keys: &[u64],
+        tails: &[T],
         bias: Bias,
-        suffix: &mut [u8],
-        fill: F,
-        sink: G,
-    ) where
-        F: FnMut(usize, &mut [u8]),
-        G: FnMut(usize, bool),
-    {
-        let mut fill = fill;
-        let mut sink = sink;
+        ones: &mut [usize],
+    ) {
+        assert_eq!(ids.len(), keys.len(), "misaligned id/key columns");
+        assert_eq!(tails.len(), ones.len(), "one count per tail");
         match self {
-            Self::Sip(state) if state.is_block_aligned() && suffix.len() < 8 => {
-                // Every assembled suffix packs into one final block, so the
-                // lane evaluator finishes LANES items per round sequence.
-                lanes::eval_short_suffixes(state, n, bias, suffix, fill, sink, lanes::lane_width());
-            }
-            Self::Sip(state) => {
-                for i in 0..n {
-                    fill(i, suffix);
-                    let mut s = *state;
-                    s.absorb(suffix);
-                    sink(i, bias.decide(s.finish()));
+            Self::Sip(state)
+                if state.is_block_aligned() && tails.iter().all(|t| t.as_ref().len() < 8) =>
+            {
+                for (tails, ones) in tails
+                    .chunks(lanes::MAX_TAILS)
+                    .zip(ones.chunks_mut(lanes::MAX_TAILS))
+                {
+                    let mut packed = [0u64; lanes::MAX_TAILS];
+                    for (packed, tail) in packed.iter_mut().zip(tails) {
+                        *packed = state.pack_short_tail(16, tail.as_ref());
+                    }
+                    let packed = &packed[..tails.len()];
+                    lanes::count_tails(state, ids, keys, packed, bias, lanes::lane_width(), ones);
                 }
             }
-            Self::ChaCha { lo, hi, key } => {
-                for i in 0..n {
-                    fill(i, suffix);
-                    let mut l = *lo;
-                    l.absorb(suffix);
-                    let mut h = *hi;
-                    h.absorb(suffix);
-                    let digest = (u128::from(h.finish()) << 64) | u128::from(l.finish());
-                    sink(i, bias.decide(chacha_output(key, digest)));
+            _ => {
+                for (tail, ones) in tails.iter().zip(ones) {
+                    *ones += self.count_biased_tail(ids, keys, tail.as_ref(), bias);
                 }
             }
         }
     }
 
-    /// Counts biased-1 outcomes over `(id, key)` column pairs followed by
-    /// a constant `tail` (the encoded query value): the Algorithm 2 inner
-    /// loop. Equivalent to evaluating
-    /// `prefix ‖ id_i ‖ key_i ‖ tail` for every aligned column pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the columns have different lengths.
-    #[must_use]
-    pub fn count_biased_columns(
-        &self,
-        ids: &[u64],
-        keys: &[u64],
-        tail: &[u8],
-        bias: Bias,
-    ) -> usize {
-        self.count_biased_columns_lanes(ids, keys, tail, bias, lanes::lane_width())
-    }
-
-    /// As [`PrfPrefix::count_biased_columns`] with an explicit lane
-    /// `width` instead of the process-wide knob — the side-by-side entry
-    /// point for benchmarks and lane-identity tests. Widths outside
-    /// [`crate::lanes::SUPPORTED_LANE_WIDTHS`] run the scalar reference
-    /// loop; non-Sip families ignore the width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the columns have different lengths.
-    #[must_use]
-    pub fn count_biased_columns_lanes(
-        &self,
-        ids: &[u64],
-        keys: &[u64],
-        tail: &[u8],
-        bias: Bias,
-        width: usize,
-    ) -> usize {
-        assert_eq!(ids.len(), keys.len(), "misaligned id/key columns");
+    /// The general per-tail loops behind
+    /// [`PrfPrefix::count_biased_columns`]: any family, any tail length.
+    fn count_biased_tail(&self, ids: &[u64], keys: &[u64], tail: &[u8], bias: Bias) -> usize {
         let mut ones = 0usize;
         match self {
-            Self::Sip(state) if state.is_block_aligned() && tail.len() < 8 => {
-                // Register-only inner loop: three compressions per record
-                // with the constant tail's final block precomputed, run
-                // `width` interleaved streams at a time (structure-of-
-                // arrays lanes vectorize; the scalar width-1 path unrolls
-                // 4× so the CPU overlaps the independent round chains).
-                let packed_tail = state.pack_short_tail(16, tail);
-                ones += lanes::count_columns(state, ids, keys, packed_tail, bias, width);
-            }
             Self::Sip(state) => {
                 for (&id, &key) in ids.iter().zip(keys) {
                     let mut s = *state;
@@ -471,69 +418,6 @@ impl PrfPrefix {
             }
         }
         ones
-    }
-
-    /// Tallies the biased bit for every short constant-length tail in an
-    /// enumerated family: `sink(i, bit)` receives the outcome of
-    /// `prefix ‖ tails[i]` where `tails` is produced by `make_tail(i)`
-    /// returning the packed final block (see
-    /// [`SipState::pack_short_tail`] composition handled internally).
-    /// Used by distribution queries: one record state, `2^k` value tails.
-    ///
-    /// Falls back to [`PrfPrefix::eval_biased_suffixes`] when the state
-    /// is not block-aligned or the tail does not fit one block.
-    pub fn eval_biased_short_tails<G>(
-        &self,
-        n: usize,
-        bias: Bias,
-        tail_bytes: u32,
-        make_tail: impl Fn(usize) -> u64,
-        sink: G,
-    ) where
-        G: FnMut(usize, bool),
-    {
-        let mut sink = sink;
-        let zeros = [0u8; 8];
-        let zero_tail = &zeros[..tail_bytes as usize];
-        match self {
-            Self::Sip(state) => {
-                debug_assert!(state.is_block_aligned() && tail_bytes < 8);
-                let len_block = state.pack_short_tail(0, zero_tail);
-                lanes::tally_short_tails(
-                    state,
-                    n,
-                    bias,
-                    len_block,
-                    make_tail,
-                    sink,
-                    lanes::lane_width(),
-                );
-            }
-            Self::ChaCha { lo, hi, key: ck } => {
-                debug_assert!(lo.is_block_aligned() && tail_bytes < 8);
-                let len_lo = lo.pack_short_tail(0, zero_tail);
-                let len_hi = hi.pack_short_tail(0, zero_tail);
-                for i in 0..n {
-                    let t = make_tail(i);
-                    let digest = (u128::from(hi.finish_then(len_hi | t)) << 64)
-                        | u128::from(lo.finish_then(len_lo | t));
-                    sink(i, bias.decide(chacha_output(ck, digest)));
-                }
-            }
-        }
-    }
-
-    /// Whether the short-tail fast paths apply: the prefix sits on a
-    /// block boundary and `tail_bytes` fit one final block.
-    #[must_use]
-    pub fn supports_short_tail(&self, tail_bytes: usize) -> bool {
-        if tail_bytes >= 8 {
-            return false;
-        }
-        match self {
-            Self::Sip(state) => state.is_block_aligned(),
-            Self::ChaCha { lo, .. } => lo.is_block_aligned(),
-        }
     }
 }
 
@@ -630,6 +514,41 @@ mod tests {
         }
     }
 
+    /// The flat oracle for a column scan: one full PRF evaluation on
+    /// `prefix ‖ id ‖ key ‖ tail` per record.
+    fn flat_count(
+        prf: &AnyPrf,
+        prefix: &[u8],
+        ids: &[u64],
+        keys: &[u64],
+        tail: &[u8],
+        bias: Bias,
+    ) -> usize {
+        ids.iter()
+            .zip(keys)
+            .filter(|&(&id, &k)| {
+                let mut flat = prefix.to_vec();
+                flat.extend_from_slice(&id.to_le_bytes());
+                flat.extend_from_slice(&k.to_le_bytes());
+                flat.extend_from_slice(tail);
+                prf.eval_biased(&flat, bias)
+            })
+            .count()
+    }
+
+    /// `count_biased_columns` into fresh counts.
+    fn counts<T: AsRef<[u8]>>(
+        prefix: &PrfPrefix,
+        ids: &[u64],
+        keys: &[u64],
+        tails: &[T],
+        bias: Bias,
+    ) -> Vec<usize> {
+        let mut ones = vec![0; tails.len()];
+        prefix.count_biased_columns(ids, keys, tails, bias, &mut ones);
+        ones
+    }
+
     #[test]
     fn advanced_and_columns_match_flat_eval() {
         for kind in [PrfKind::Sip, PrfKind::ChaCha] {
@@ -641,27 +560,11 @@ mod tests {
             let keys: Vec<u64> = (0..200).map(|i| i ^ 0x5555).collect();
 
             let prefix = prf.begin_prefix(prefix_bytes);
-            let batched = prefix.count_biased_columns(&ids, &keys, tail, bias);
+            let batched = counts(&prefix, &ids, &keys, &[tail], bias);
+            let scalar = flat_count(&prf, prefix_bytes, &ids, &keys, tail, bias);
+            assert_eq!(batched, vec![scalar], "{kind:?} column count diverged");
 
-            let scalar = ids
-                .iter()
-                .zip(&keys)
-                .filter(|&(&id, &k)| {
-                    let mut flat = prefix_bytes.to_vec();
-                    flat.extend_from_slice(&id.to_le_bytes());
-                    flat.extend_from_slice(&k.to_le_bytes());
-                    flat.extend_from_slice(tail);
-                    prf.eval_biased(&flat, bias)
-                })
-                .count();
-            assert_eq!(batched, scalar, "{kind:?} column count diverged");
-
-            // advanced / advanced_u64x2 compose the same stream.
-            let adv = prefix.advanced_u64x2(ids[0], keys[0]);
-            let mut flat = prefix_bytes.to_vec();
-            flat.extend_from_slice(&ids[0].to_le_bytes());
-            flat.extend_from_slice(&keys[0].to_le_bytes());
-            assert_eq!(adv.eval_u64(tail), prf.begin_prefix(&flat).eval_u64(tail));
+            // advanced composes the same stream.
             assert_eq!(
                 prefix.advanced(b"xy").eval_u64(b"z"),
                 prf.eval_u64(&[prefix_bytes.as_slice(), b"xy", b"z"].concat())
@@ -671,26 +574,37 @@ mod tests {
 
     #[test]
     fn suffix_batch_matches_scalar() {
-        let prf = AnyPrf::new(PrfKind::Sip, &key());
+        // Many tails in one call, through every path: the lane kernel
+        // (Sip, aligned prefix, short tails), and the general per-tail
+        // fallbacks (ChaCha; an unaligned prefix; tails of 8+ bytes).
+        // Every entry equals the one-tail call and the flat evaluation.
         let bias = Bias::from_prob(0.4);
-        let prefix = prf.begin_prefix(b"p");
-        let mut suffix = [0u8; 8];
-        let mut batch = Vec::new();
-        prefix.eval_biased_suffixes(
-            64,
-            bias,
-            &mut suffix,
-            |i, buf| buf.copy_from_slice(&(i as u64).to_le_bytes()),
-            |_, bit| batch.push(bit),
-        );
-        let scalar: Vec<bool> = (0..64u64)
-            .map(|i| {
-                let mut flat = b"p".to_vec();
-                flat.extend_from_slice(&i.to_le_bytes());
-                prf.eval_biased(&flat, bias)
-            })
-            .collect();
-        assert_eq!(batch, scalar);
+        let ids: Vec<u64> = (0..61).map(|i| i * 7 + 3).collect();
+        let keys: Vec<u64> = (0..61).map(|i| (i * 13) % 1024).collect();
+        let short: Vec<Vec<u8>> = (0u8..37).map(|v| vec![3, 0, 0, 0, v]).collect();
+        let long: Vec<Vec<u8>> = (0u8..5).map(|v| vec![v; 8 + usize::from(v)]).collect();
+        for kind in [PrfKind::Sip, PrfKind::ChaCha] {
+            let prf = AnyPrf::new(kind, &key());
+            for prefix_bytes in [&b"aligned-prefix16"[..], b"p"] {
+                let prefix = prf.begin_prefix(prefix_bytes);
+                for tails in [&short, &long] {
+                    let batched = counts(&prefix, &ids, &keys, tails, bias);
+                    for (tail, &count) in tails.iter().zip(&batched) {
+                        assert_eq!(
+                            counts(&prefix, &ids, &keys, &[tail], bias),
+                            vec![count],
+                            "{kind:?}: batched tail diverged from its one-tail call"
+                        );
+                        assert_eq!(
+                            count,
+                            flat_count(&prf, prefix_bytes, &ids, &keys, tail, bias),
+                            "{kind:?}: tail of {} bytes diverged from the flat oracle",
+                            tail.len()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -241,6 +241,24 @@ impl SipState {
         [self.v0, self.v1, self.v2, self.v3]
     }
 
+    /// Branch-free `absorb_u64(a).absorb_u64(b)` for a block-aligned
+    /// state, returned as a copy: the per-record part of a column scan,
+    /// finished per value with [`SipState::finish_then`].
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts block alignment.
+    #[inline]
+    #[must_use]
+    pub fn absorbed_u64x2(&self, a: u64, b: u64) -> Self {
+        debug_assert!(self.ntail == 0, "state must be block-aligned");
+        let mut s = *self;
+        s.len = s.len.wrapping_add(16);
+        s.compress(a);
+        s.compress(b);
+        s
+    }
+
     /// Register-only hot path: equivalent to
     /// `absorb_u64(a).absorb_u64(b).absorb(tail_bytes).finish()` for a
     /// block-aligned state and a short tail, with the tail's final block

@@ -63,8 +63,8 @@ proptest! {
         prop_assert_eq!(batched.p.to_bits(), scalar.p.to_bits());
     }
 
-    /// The one-pass distribution scan equals 2^k independent scalar scans
-    /// exactly.
+    /// The distribution scan (one scan over all 2^k values) equals 2^k
+    /// independent scalar scans exactly.
     #[test]
     fn one_pass_distribution_is_bit_identical_to_scalar_scans(
         p_milli in 50u64..450,
@@ -88,5 +88,40 @@ proptest! {
             prop_assert_eq!(batched.raw.to_bits(), scalar.raw.to_bits());
             prop_assert_eq!(batched.sample_size, scalar.sample_size);
         }
+    }
+
+    /// Wide distributions — up to 256 value tails in one scan — equal
+    /// 2^k independent scalar scans exactly at every lane width.
+    #[test]
+    fn wide_distribution_is_bit_identical_to_scalar_at_every_lane_width(
+        p_milli in 50u64..450,
+        k in 5usize..=8,
+        profile_seeds in proptest::collection::vec(any::<u64>(), 1..40),
+        rng_seed in any::<u64>(),
+    ) {
+        let p = p_milli as f64 / 1000.0;
+        let (params, db, subset) = build_db(p, k, &profile_seeds, rng_seed);
+        let estimator = ConjunctiveEstimator::new(params);
+        let scalar: Vec<_> = (0..1u64 << k)
+            .map(|value| {
+                let query = ConjunctiveQuery::new(subset.clone(), BitString::from_u64(value, k))
+                    .unwrap();
+                estimator.estimate_scalar(&db, &query).unwrap()
+            })
+            .collect();
+        for width in psketch::core::SUPPORTED_LANE_WIDTHS.iter().copied() {
+            psketch::core::set_lane_width(width).unwrap();
+            let dist = estimator.estimate_distribution(&db, &subset).unwrap();
+            prop_assert_eq!(dist.len(), 1 << k);
+            for (batched, scalar) in dist.iter().zip(&scalar) {
+                prop_assert_eq!(
+                    batched.fraction.to_bits(), scalar.fraction.to_bits(),
+                    "k = {} diverged at width {}", k, width
+                );
+                prop_assert_eq!(batched.raw.to_bits(), scalar.raw.to_bits());
+                prop_assert_eq!(batched.sample_size, scalar.sample_size);
+            }
+        }
+        psketch::core::set_lane_width(0).unwrap();
     }
 }

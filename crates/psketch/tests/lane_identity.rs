@@ -7,7 +7,7 @@
 //! but exact equality of every answer bit at widths 1 (scalar oracle), 4,
 //! 8 and auto-probe, over random populations, biases and keys. The sweep
 //! drives the full analyst stack: direct conjunctive estimates, the
-//! one-pass distribution scan, and compiled term plans (means, intervals,
+//! grouped distribution scan, and compiled term plans (means, intervals,
 //! DNF, moments) through [`QueryEngine::execute_plans`].
 
 use proptest::prelude::*;
@@ -127,6 +127,72 @@ proptest! {
                     prop_assert_eq!(w.queries_used, oracle.queries_used);
                     prop_assert_eq!(w.min_sample_size, oracle.min_sample_size);
                 }
+            }
+        }
+        psketch::core::set_lane_width(0).unwrap();
+    }
+
+    /// Wide subsets (k = 5..8): the full distribution and a mixed term
+    /// list (grouped with a narrow subset's terms) in one `count_terms`
+    /// call equal the scalar oracle at every lane width.
+    #[test]
+    fn wide_distributions_bit_identical_across_lane_widths(
+        p_milli in 50u64..450,
+        k in 5usize..=8,
+        profile_seeds in proptest::collection::vec(any::<u64>(), 1..40),
+        value_seed in any::<u64>(),
+        rng_seed in any::<u64>(),
+    ) {
+        let p = p_milli as f64 / 1000.0;
+        let params =
+            SketchParams::with_sip(p, 10, psketch::GlobalKey::from_seed(rng_seed ^ 0xBEEF))
+                .unwrap();
+        let sketcher = Sketcher::new(params);
+        let wide = BitSubset::range(0, k as u32);
+        let narrow = BitSubset::single(0);
+        let db = SketchDb::new();
+        let mut rng = Prg::seed_from_u64(rng_seed);
+        for (i, &seed) in profile_seeds.iter().enumerate() {
+            let bits: Vec<bool> = (0..k).map(|b| (seed >> b) & 1 == 1).collect();
+            let profile = Profile::from_bits(&bits);
+            for subset in [&wide, &narrow] {
+                let sketch = sketcher
+                    .sketch(UserId(i as u64), &profile, subset, &mut rng)
+                    .unwrap();
+                db.insert(subset.clone(), UserId(i as u64), sketch);
+            }
+        }
+        let estimator = ConjunctiveEstimator::new(params);
+        let term = |subset: &BitSubset, v: u64| {
+            ConjunctiveQuery::new(subset.clone(), BitString::from_u64(v, subset.len())).unwrap()
+        };
+        let all: Vec<ConjunctiveQuery> = (0..1u64 << k).map(|v| term(&wide, v)).collect();
+        let mixed: Vec<ConjunctiveQuery> = (0..5u64)
+            .flat_map(|i| {
+                [
+                    term(&wide, value_seed.rotate_left(i as u32 * 7) & ((1 << k) - 1)),
+                    term(&narrow, i % 2),
+                ]
+            })
+            .collect();
+        let scalar = |q: &ConjunctiveQuery| estimator.estimate_scalar(&db, q).unwrap();
+
+        for &width in &SWEEP {
+            psketch::core::set_lane_width(width).unwrap();
+            let dist = estimator.estimate_distribution(&db, &wide).unwrap();
+            for (batched, q) in dist.iter().zip(&all) {
+                prop_assert_eq!(
+                    batched.fraction.to_bits(), scalar(q).fraction.to_bits(),
+                    "k = {} distribution diverged at width {}", k, width
+                );
+            }
+            let counts = estimator.count_terms(&db, &mixed).unwrap();
+            for (&(ones, n), q) in counts.iter().zip(&mixed) {
+                let e = psketch::core::Estimate::from_counts(ones, n, p);
+                prop_assert_eq!(
+                    e.raw.to_bits(), scalar(q).raw.to_bits(),
+                    "k = {} mixed terms diverged at width {}", k, width
+                );
             }
         }
         psketch::core::set_lane_width(0).unwrap();

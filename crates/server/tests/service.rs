@@ -291,6 +291,70 @@ fn stale_log_after_compaction_crash_is_harmless() {
 }
 
 #[test]
+fn compaction_racing_republishing_readers_keeps_every_record() {
+    // A reader republishes every subset's columns in a loop while
+    // batches land and the WAL compacts after each one. Every compaction
+    // must encode every acknowledged record (a reader's half-done
+    // republish must not hand it older columns), so after reopening,
+    // the per-subset record counts add up to CoordinatorStats.records.
+    let dir = temp_dir("compact-race");
+    let config = WalConfig::new(&dir);
+    let ann = announcement();
+    let coordinator = std::sync::Arc::new(Coordinator::new(ann.clone()));
+    let (mut wal, _) = Wal::open(&config).unwrap();
+    wal.record_announcement(&ann).unwrap();
+    let base = submissions(&ann, 0..8_000, 600);
+    wal.record_batch(&base).unwrap();
+    coordinator.accept_batch(base.iter());
+    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let reader = {
+        let coordinator = std::sync::Arc::clone(&coordinator);
+        let stop = std::sync::Arc::clone(&stop);
+        let subsets = ann.subsets.clone();
+        std::thread::spawn(move || {
+            // Pseudo-random pauses put the republish at varying offsets
+            // into the compaction that follows each batch.
+            let mut pause = 0x9e37_79b9_u64;
+            while !stop.load(Ordering::Relaxed) {
+                for subset in subsets.iter().rev() {
+                    let _ = coordinator.pool().snapshot(subset);
+                }
+                pause ^= pause << 13;
+                pause ^= pause >> 7;
+                pause ^= pause << 17;
+                std::thread::sleep(Duration::from_micros(pause % 2_000));
+            }
+        })
+    };
+    for b in 0..40u64 {
+        let start = 8_000 + b * 5;
+        let subs = submissions(&ann, start..start + 5, 700 + b);
+        wal.record_batch(&subs).unwrap();
+        coordinator.accept_batch(subs.iter());
+        wal.compact(&coordinator).unwrap();
+    }
+    stop.store(true, Ordering::Relaxed);
+    reader.join().unwrap();
+    drop(wal);
+
+    let (_, recovered) = Wal::open(&config).unwrap();
+    let restored = recovered.expect("snapshot recovered");
+    assert_eq!(restored.stats(), coordinator.stats());
+    let mut recorded = 0u64;
+    for subset in &ann.subsets {
+        let count = restored.pool().count(subset);
+        assert_eq!(
+            count,
+            coordinator.pool().count(subset),
+            "compaction lost acknowledged records of {subset:?}"
+        );
+        recorded += count as u64;
+    }
+    assert_eq!(recorded, restored.stats().records);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn server_restart_serves_identical_answers() {
     let dir = temp_dir("restart");
     let ann = announcement();
